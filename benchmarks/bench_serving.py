@@ -11,9 +11,10 @@ acceptance properties:
    (request coalescing);
 3. shed requests return 429 and the metrics snapshot accounts for every
    request (hits + stale-hits + misses + shed + errors == requests);
-4. steady-state refresh of a warm key through delta-fed online predictors
-   is >= 10x faster than the full-refit path, while publishing curves
-   bit-identical to from-scratch fits at every refresh boundary;
+4. steady-state refresh of a warm key, delta-fed into its ticker slot,
+   is >= 10x faster than the refit oracle (a from-scratch
+   ``DraftsPredictor`` fit of the same history), while publishing curves
+   bit-identical to the oracle's at every refresh boundary;
 5. warm restart from an on-disk snapshot is >= 5x faster than refitting
    the same keys cold, performs zero refits, and publishes curves
    bit-identical to the uninterrupted service — including after one

@@ -385,8 +385,8 @@ class UniverseTicker:
         * ``add_key(key, online=pred)`` — adopt a scalar
           :class:`OnlineDraftsPredictor`'s state. The predictor's QBETS is
           taken over *by reference*; the caller must discard the scalar
-          wrapper (the service does — it swaps the key onto the batch
-          path).
+          wrapper (the service does: every fit it runs is handed over
+          this way and dropped).
         * ``add_key(key, bounds=..., final_bound=..., levels=...)`` — a
           frozen key for backtest replay: phase 1 was precomputed over the
           full trace (``bounds[i]`` is the bound in effect before
@@ -471,7 +471,8 @@ class UniverseTicker:
         self._valid[s, :] = False
 
     def remove_key(self, key) -> None:
-        """Eject a key (the scalar-path handoff for refits)."""
+        """Free a key's slot (the service drops evicted keys this way and
+        replaces a refit key's slot with remove + :meth:`add_key`)."""
         s = self._index.pop(key)
         self._order.remove(s)
         self._slots[s] = None

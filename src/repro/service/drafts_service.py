@@ -12,10 +12,15 @@ refitted from scratch.
 
 This module is that service against the simulated EC2: a curve cache with
 the same refresh policy, exposed through the in-process REST router in
-:mod:`repro.service.rest`. Each (type, AZ, probability) key keeps one
-long-lived :class:`~repro.core.online.OnlineDraftsPredictor`; a refresh
-delta-fetches only the announcements after the key's cursor and feeds them
-in, publishing ``curve_at(n)``. A full QBETS refit happens only on:
+:mod:`repro.service.rest`. All predictor state lives in one
+structure-of-arrays :class:`~repro.core.universe.UniverseTicker` per
+published probability level; each (type, AZ, probability) key is one slot
+of its level's ticker. A refresh delta-fetches only the announcements
+after the key's cursor, observes them into the ticker and publishes the
+ticker's curve; :meth:`DraftsService.batch_refresh` advances every key of
+a level in one vectorised sweep. A full QBETS fit — a fresh
+:class:`~repro.core.online.OnlineDraftsPredictor` over the windowed
+history, handed to the ticker as the key's new slot — happens only on:
 
 * **cold** — no predictor state for the key (first request, or the key was
   LRU-evicted);
@@ -30,15 +35,22 @@ in, publishing ``curve_at(n)``. A full QBETS refit happens only on:
 * **ladder_change** — a delta price exceeded the key's pinned ``max_price``
   ladder domain, which requires a new quantile-tracker domain.
 
-``cache_info()`` splits ``recomputes`` into ``refits`` (full fits) and
-``incremental_refreshes`` (delta updates), with per-reason refit counts.
+``cache_info()`` splits ``recomputes`` into ``cold_fits`` and ``refits``
+(full fits of keys without and with predictor state) and
+``incremental_refreshes`` (delta updates), with per-reason fit counts.
 At every refresh boundary the published curve is bit-identical to a
 from-scratch :class:`~repro.core.drafts.DraftsPredictor` fit of the same
 accumulated history (tests/test_service.py).
+
+Locking: each ticker has one lock, and every read or write of a key's
+slot or its ``_KeyState`` happens under its level's lock. That lock is always
+taken before the service's bookkeeping lock, no thread holds two ticker
+locks at once, and no file I/O happens under one.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import threading
 from collections import OrderedDict
@@ -47,7 +59,7 @@ from pathlib import Path
 
 from repro.cloud.api import HISTORY_WINDOW_SECONDS, EC2Api
 from repro.core.curves import BidDurationCurve
-from repro.core.drafts import DraftsConfig, DraftsPredictor
+from repro.core.drafts import DraftsConfig
 from repro.core.online import OnlineDraftsPredictor
 from repro.core.universe import UniverseTicker
 from repro.core.universe_fit import fit_drafts_universe
@@ -74,23 +86,10 @@ class ServiceConfig:
         are kept; least-recently-used ones are evicted beyond this, so the
         service's footprint is bounded even over the full 452-combination
         universe. An evicted key refits from a cold fetch on next touch.
-    incremental:
-        Feed per-key online predictors with delta fetches (the §3.3
-        production behaviour). Off, every refresh is a full refit — kept
-        for A/B benchmarking of the refresh cost.
     rewindow_factor:
         Full-refit threshold on accumulated history span, as a multiple of
         the 90-day API window. Bounds both per-key memory and how far the
         oldest retained announcement can lag the API's own horizon.
-    batch:
-        Enroll warm incremental keys into one structure-of-arrays
-        :class:`~repro.core.universe.UniverseTicker` per probability level,
-        so a universe-wide epoch advance (:meth:`DraftsService.batch_refresh`)
-        is a handful of array ops instead of per-key Python update chains.
-        Keys needing a refit (cold/rewind/gap/rewindow/ladder_change) fall
-        out of the batch to the scalar path, exactly as curve-cache misses
-        do, and re-enroll after the refit. Published curves are
-        bit-identical either way.
     """
 
     probabilities: tuple[float, ...] = (0.95, 0.99)
@@ -98,9 +97,7 @@ class ServiceConfig:
     ladder_increment: float = 0.05
     ladder_span: float = 4.0
     max_predictors: int = 128
-    incremental: bool = True
     rewindow_factor: float = 2.0
-    batch: bool = True
 
     def __post_init__(self) -> None:
         if not self.probabilities:
@@ -124,13 +121,8 @@ class _CacheEntry:
 
 @dataclass
 class _Group:
-    """One batch-tick universe: all enrolled keys of one probability level.
-
-    ``lock`` serialises every ticker mutation; the locking order is always
-    group lock before key-state lock (and the service bookkeeping lock is
-    only ever taken innermost), so the batch sweep and single-key
-    refreshes can never deadlock.
-    """
+    """One probability level's predictor state: a slot per key in
+    ``ticker``, read and mutated only under ``lock``."""
 
     ticker: UniverseTicker
     lock: threading.Lock = field(default_factory=threading.Lock)
@@ -138,26 +130,18 @@ class _Group:
 
 @dataclass
 class _KeyState:
-    """Long-lived per-(type, AZ, probability) predictor state.
+    """Per-(type, AZ, probability) bookkeeping beside the key's ticker slot.
 
-    ``lock`` serialises refreshes of one key without blocking other keys;
-    ``cursor`` is the timestamp of the last announcement consumed;
-    ``max_price`` is the quantile-tracker domain pinned at the first fit so
-    refreshes of the same key can never silently lay out different ladders
-    (the pre-incremental service re-derived it from whatever price spike
-    happened to be inside the window). ``group`` is the batch universe the
-    key is enrolled in (its QBETS/ladder state then lives in the group's
-    ticker and ``online`` is None).
+    ``cursor`` is the timestamp of the last announcement consumed (nan
+    until the key's first fit lands); ``max_price`` is the
+    quantile-tracker domain pinned at the first fit so refreshes of the
+    same key can never silently lay out different ladders.
     """
 
-    lock: threading.Lock = field(default_factory=threading.Lock)
-    online: OnlineDraftsPredictor | None = None
-    predictor: DraftsPredictor | None = None
     curve: BidDurationCurve | None = None
     cursor: float = math.nan
     last_now: float = math.nan
     max_price: float | None = None
-    group: _Group | None = None
 
 
 class DraftsService:
@@ -173,22 +157,28 @@ class DraftsService:
         self._api = api
         self._cfg = config or ServiceConfig()
         self._cache: dict[tuple[str, str, float], _CacheEntry] = {}
+        # Keys holding predictor state, in LRU order. Every key listed here
+        # owns its ticker slot; a slot whose key is not listed was evicted
+        # and is about to be dropped.
         self._states: OrderedDict[tuple[str, str, float], _KeyState] = (
             OrderedDict()
         )
         # Guards cache/state bookkeeping: the serving gateway drives this
-        # object from several threads (one refresh per key at a time, but
-        # distinct keys concurrently). Per-key work runs under the key's
-        # own lock only.
+        # object from several threads.
         self._lock = threading.Lock()
-        self._groups: dict[float, _Group] = {}
+        self._groups = {
+            p: _Group(
+                UniverseTicker(
+                    self._drafts_config(p, DraftsConfig().max_price)
+                )
+            )
+            for p in self._cfg.probabilities
+        }
         self._hits = 0
         self._misses = 0
         self._refits = 0
         self._cold_fits = 0
         self._incremental_refreshes = 0
-        self._batch_ticks = 0
-        self._scalar_ticks = 0
         self._refit_reasons: dict[str, int] = {}
         self._evictions = 0
 
@@ -210,25 +200,49 @@ class DraftsService:
             max_price=max_price,
         )
 
-    def _full_refit(
+    def _evict_locked(self) -> list[tuple[str, str, float]]:
+        """Pop least-recently-used states beyond the bound (caller holds
+        ``_lock``); their slots go to :meth:`_drop_slots`."""
+        evicted = []
+        while len(self._states) > self._cfg.max_predictors:
+            evicted.append(self._states.popitem(last=False)[0])
+            self._evictions += 1
+        return evicted
+
+    def _drop_slots(self, keys: list[tuple[str, str, float]]) -> None:
+        """Free the ticker slots of keys that no longer hold state.
+
+        Called with no group lock held, so each slot is removed under its
+        own group's lock. A key re-admitted in the meantime is skipped: its
+        new fit already replaced the slot.
+        """
+        for key in keys:
+            group = self._groups[key[2]]
+            with group.lock:
+                with self._lock:
+                    if key in self._states:
+                        continue
+                if key in group.ticker:
+                    group.ticker.remove_key(key)
+
+    @staticmethod
+    def _install(ticker: UniverseTicker, key, online: OnlineDraftsPredictor):
+        """Make a fitted predictor ``key``'s slot, replacing any it held; the
+        ticker adopts its state and the caller drops the predictor."""
+        if key in ticker:
+            ticker.remove_key(key)
+        ticker.add_key(key, online=online, instance_type=key[0], zone=key[1])
+
+    def _fit(
         self,
+        ticker: UniverseTicker,
+        key: tuple[str, str, float],
         state: _KeyState,
-        instance_type: str,
-        zone: str,
-        probability: float,
         now: float,
         reason: str,
     ) -> BidDurationCurve | None:
-        # Boot-time vs steady-state observability: a fit of a key that holds
-        # no predictor state at all (first touch, post-eviction, failed
-        # restore) counts under ``cold_fits``; refitting a key that already
-        # has state (rewind/gap/rewindow/ladder_change, or every recompute
-        # with ``incremental=False``) counts under ``refits``.
-        cold = (
-            state.online is None
-            and state.predictor is None
-            and state.group is None
-        )
+        """Full QBETS fit of the key's windowed history into a new slot."""
+        instance_type, zone, probability = key
         history = self._api.describe_spot_price_history(instance_type, zone, now)
         # Pin the ladder domain at the first fit; only an out-of-domain
         # price (the explicit ladder_change refit) may raise it. Without
@@ -239,245 +253,97 @@ class DraftsService:
         max_price = state.max_price
         if max_price is None or peak >= max_price:
             max_price = max(100.0, peak * 8.0)
-        config = self._drafts_config(probability, max_price)
-        if self._cfg.incremental:
-            online = OnlineDraftsPredictor(config)
-            online.extend(history)
-            curve = online.curve_at(
-                online.n, instance_type=instance_type, zone=zone
-            )
-            state.online = online
-            state.predictor = None
-        else:
-            predictor = DraftsPredictor(history, config)
-            curve = predictor.curve_at(
-                len(history), instance_type=instance_type, zone=zone
-            )
-            state.predictor = predictor
-            state.online = None
-        state.curve = curve
+        online = OnlineDraftsPredictor(self._drafts_config(probability, max_price))
+        online.extend(history)
+        self._install(ticker, key, online)
+        state.curve = ticker.curve_for(key)
         state.max_price = max_price
         state.cursor = history.end
         state.last_now = now
         with self._lock:
-            if cold:
+            # A key without predictor state (first touch, post-eviction,
+            # failed restore) is cold; one that had state is refit.
+            if reason == "cold":
                 self._cold_fits += 1
             else:
                 self._refits += 1
             self._refit_reasons[reason] = self._refit_reasons.get(reason, 0) + 1
-        return curve
+        return state.curve
 
-    def _refit_reason(
-        self, state: _KeyState, now: float, key=None
-    ) -> str | None:
-        """Why this refresh cannot be served incrementally (None = it can)."""
-        if not self._cfg.incremental or (
-            state.online is None and state.group is None
-        ):
-            return "cold"
-        if now <= state.cursor:
-            return "rewind"
-        if now - HISTORY_WINDOW_SECONDS > state.cursor:
-            return "gap"
-        span = (
-            state.online.span
-            if state.online is not None
-            else state.group.ticker.span(key)
-        )
-        if span > self._cfg.rewindow_factor * HISTORY_WINDOW_SECONDS:
-            return "rewindow"
-        return None
-
-    def _refresh_key(
+    def _plan(
         self,
+        ticker: UniverseTicker,
+        key: tuple[str, str, float],
         state: _KeyState,
-        instance_type: str,
-        zone: str,
-        probability: float,
         now: float,
+    ):
+        """``(reason, delta)``: why this refresh needs a full fit, or
+        ``(None, delta)`` with the announcements to observe (None when the
+        market said nothing new)."""
+        if math.isnan(state.cursor):
+            return "cold", None
+        if now <= state.cursor:
+            return "rewind", None
+        if now - HISTORY_WINDOW_SECONDS > state.cursor:
+            return "gap", None
+        if ticker.span(key) > self._cfg.rewindow_factor * HISTORY_WINDOW_SECONDS:
+            return "rewindow", None
+        delta = self._api.describe_spot_price_history(
+            key[0], key[1], now, since=state.cursor
+        )
+        if delta is not None and float(delta.prices.max()) >= state.max_price:
+            # Out of the pinned quantile-tracker domain: the ladder must be
+            # re-laid-out, which is a full refit by design.
+            return "ladder_change", None
+        return None, delta
+
+    def _refresh(
+        self,
+        ticker: UniverseTicker,
+        key: tuple[str, str, float],
+        state: _KeyState,
+        now: float,
+        reason: str | None,
+        delta,
     ) -> BidDurationCurve | None:
-        reason = self._refit_reason(state, now)
-        delta = None
-        if reason is None:
-            delta = self._api.describe_spot_price_history(
-                instance_type, zone, now, since=state.cursor
-            )
-            if (
-                delta is not None
-                and float(delta.prices.max()) >= state.max_price
-            ):
-                # Out of the pinned quantile-tracker domain: the ladder
-                # must be re-laid-out, which is a full refit by design.
-                reason = "ladder_change"
+        """Carry out one key's :meth:`_plan` (caller holds its group lock)."""
         if reason is not None:
-            return self._full_refit(
-                state, instance_type, zone, probability, now, reason
-            )
-        online = state.online
+            return self._fit(ticker, key, state, now, reason)
         if delta is not None:
-            online.extend(delta)
+            for t, price in zip(delta.times.tolist(), delta.prices.tolist()):
+                ticker.observe(t, (price,), (key,))
             state.cursor = delta.end
-            state.curve = online.curve_at(
-                online.n, instance_type=instance_type, zone=zone
-            )
+            state.curve = ticker.curve_for(key)
         # A zero-announcement delta republishes the identical curve: the
         # market said nothing new, so the predictor state is untouched.
         state.last_now = now
         with self._lock:
             self._incremental_refreshes += 1
-            self._scalar_ticks += 1
         return state.curve
-
-    def _refresh_batched(
-        self,
-        key: tuple[str, str, float],
-        group: _Group,
-        state: _KeyState,
-        now: float,
-    ) -> BidDurationCurve | None:
-        """Refresh an enrolled key through its group ticker.
-
-        Caller holds ``group.lock`` then ``state.lock``. Refit reasons
-        eject the key from the batch back onto the scalar path (the caller
-        re-enrolls after a successful refit); everything else is a delta
-        fetch fed to the ticker, publishing the batched curve —
-        bit-identical to the scalar ``online.curve_at(n)``.
-        """
-        instance_type, zone, probability = key
-        reason = self._refit_reason(state, now, key)
-        delta = None
-        if reason is None:
-            delta = self._api.describe_spot_price_history(
-                instance_type, zone, now, since=state.cursor
-            )
-            if (
-                delta is not None
-                and float(delta.prices.max()) >= state.max_price
-            ):
-                reason = "ladder_change"
-        if reason is not None:
-            group.ticker.remove_key(key)
-            state.group = None
-            return self._full_refit(
-                state, instance_type, zone, probability, now, reason
-            )
-        ticker = group.ticker
-        if delta is not None:
-            for t, price in zip(
-                delta.times.tolist(), delta.prices.tolist()
-            ):
-                ticker.observe(t, (price,), (key,))
-            state.cursor = delta.end
-            state.curve = ticker.curve_for(key)
-        state.last_now = now
-        with self._lock:
-            self._incremental_refreshes += 1
-            self._batch_ticks += 1
-        return state.curve
-
-    def _group_for(self, probability: float) -> _Group:
-        with self._lock:
-            group = self._groups.get(probability)
-            if group is None:
-                config = self._drafts_config(
-                    probability, DraftsConfig().max_price
-                )
-                group = _Group(ticker=UniverseTicker(config))
-                self._groups[probability] = group
-            return group
-
-    def _maybe_enroll(
-        self, key: tuple[str, str, float], state: _KeyState
-    ) -> None:
-        """Adopt a warm scalar predictor into the batch universe.
-
-        The scalar wrapper's QBETS moves into the ticker by reference and
-        the wrapper is discarded; from here the key refreshes through the
-        group until a refit reason ejects it again.
-        """
-        if not (self._cfg.batch and self._cfg.incremental):
-            return
-        if state.group is not None or state.online is None:
-            return  # racy pre-check; re-validated under the locks below
-        group = self._group_for(key[2])
-        with group.lock:
-            with state.lock:
-                if state.group is not None or state.online is None:
-                    return
-                if key in group.ticker:
-                    # Ghost slot from a lost enrollment race (the key was
-                    # refit on the scalar path while still enrolled).
-                    group.ticker.remove_key(key)
-                group.ticker.add_key(
-                    key,
-                    online=state.online,
-                    instance_type=key[0],
-                    zone=key[1],
-                )
-                state.online = None
-                state.group = group
-
-    def _unenroll(self, key: tuple[str, str, float], state: _KeyState) -> None:
-        """Remove an (evicted) key's slot from its batch group, if any."""
-        group = state.group
-        if group is None:
-            return
-        with group.lock:
-            with state.lock:
-                if state.group is group:
-                    group.ticker.remove_key(key)
-                    state.group = None
 
     def _compute_curve(
         self, instance_type: str, zone: str, probability: float, now: float
     ) -> BidDurationCurve | None:
         key = (instance_type, zone, probability)
-        with self._lock:
-            state = self._states.get(key)
+        group = self._groups[probability]
+        evicted: list[tuple[str, str, float]] = []
+        with group.lock:
+            with self._lock:
+                state = self._states.get(key)
+                if state is not None:
+                    self._states.move_to_end(key)
             fresh = state is None
             if fresh:
                 state = _KeyState()
-                self._states[key] = state
-            else:
-                self._states.move_to_end(key)
-            evicted = []
-            while len(self._states) > self._cfg.max_predictors:
-                evicted.append(self._states.popitem(last=False))
-                self._evictions += 1
-        for ekey, estate in evicted:
-            # Outside the bookkeeping lock: unenrollment takes the group
-            # lock, which must never nest inside self._lock.
-            self._unenroll(ekey, estate)
-        try:
-            while True:
-                group = state.group  # racy read; re-validated under locks
-                if group is None:
-                    with state.lock:
-                        if state.group is not None:
-                            continue  # enrolled concurrently — retry
-                        curve = self._refresh_key(
-                            state, instance_type, zone, probability, now
-                        )
-                    break
-                with group.lock:
-                    if state.group is not group:
-                        continue  # ejected/moved concurrently — retry
-                    with state.lock:
-                        curve = self._refresh_batched(key, group, state, now)
-                break
-        except BaseException:
+            plan = self._plan(group.ticker, key, state, now)
+            curve = self._refresh(group.ticker, key, state, now, *plan)
             if fresh:
-                # Unknown combination (or a failed cold fetch): do not
-                # leave an empty placeholder occupying an LRU slot.
+                # Admitted only once its first fit lands: an unknown
+                # combination (or a failed cold fetch) takes no LRU slot.
                 with self._lock:
-                    if (
-                        self._states.get(key) is state
-                        and state.online is None
-                        and state.group is None
-                    ):
-                        del self._states[key]
-            raise
-        self._maybe_enroll(key, state)
+                    self._states[key] = state
+                    evicted = self._evict_locked()
+        self._drop_slots(evicted)
         return curve
 
     def curve(
@@ -525,7 +391,7 @@ class DraftsService:
             entry = self._cache.pop((instance_type, zone, probability), None)
         return entry is not None
 
-    # -- universe-wide batch tick --------------------------------------------
+    # -- universe-wide batch paths -------------------------------------------
 
     def warm_start(
         self, combos: list[tuple[str, str]], now: float
@@ -536,29 +402,23 @@ class DraftsService:
         QBETS replay per key on first touch. This fetches each
         combination's history once, runs a single universe-wide phase-1
         pass (:func:`repro.core.universe_fit.fit_drafts_universe`) across
-        every published probability level, and lands per-key state
-        bit-identical to the scalar cold path — incremental keys get an
-        :class:`~repro.core.online.OnlineDraftsPredictor` restored from
-        the batch fit's snapshot, non-incremental keys the fitted
-        :class:`~repro.core.drafts.DraftsPredictor` — publishing all
-        curves into the cache at ``now``. Each fit counts under
-        ``cold_fits`` with reason ``"cold"``, exactly like the scalar
-        first touch it replaces. Keys already holding predictor state are
-        skipped. Returns ``{"fitted", "skipped"}``.
+        every published probability level, hands each key's fitted
+        predictor to its level's ticker — state bit-identical to the
+        single-key cold fit — and publishes all curves into the cache at
+        ``now``, one batched ticker query per level. Each fit counts under
+        ``cold_fits`` with reason ``"cold"``, exactly like the first touch
+        it replaces. Keys already holding predictor state are skipped.
+        Returns ``{"fitted", "skipped"}``.
         """
-        todo: list[tuple[tuple[str, str, float], object]] = []
+        todo: dict[tuple[str, str, float], object] = {}
         skipped = 0
         histories: dict[tuple[str, str], object] = {}
         for instance_type, zone in combos:
             for probability in self._cfg.probabilities:
                 key = (instance_type, zone, probability)
                 with self._lock:
-                    state = self._states.get(key)
-                if state is not None and (
-                    state.online is not None
-                    or state.predictor is not None
-                    or state.group is not None
-                ):
+                    warm = key in self._states
+                if warm:
                     skipped += 1
                     continue
                 pair = (instance_type, zone)
@@ -568,181 +428,125 @@ class DraftsService:
                         instance_type, zone, now
                     )
                     histories[pair] = history
-                todo.append((key, history))
+                todo[key] = history
         if not todo:
             return {"fitted": 0, "skipped": skipped}
-        # The same per-key ladder-domain pin the scalar cold fit derives.
+        # The same per-key ladder-domain pin the single-key cold fit derives.
         configs = [
             self._drafts_config(
                 key[2], max(100.0, float(history.prices.max()) * 8.0)
             )
-            for key, history in todo
+            for key, history in todo.items()
         ]
-        fit = fit_drafts_universe([h for _, h in todo], configs)
+        fit = fit_drafts_universe(list(todo.values()), configs)
         fitted = 0
-        enroll: list[tuple[tuple[str, str, float], _KeyState]] = []
-        for i, (key, history) in enumerate(todo):
-            state = _KeyState()
-            if self._cfg.incremental:
-                online = fit.online_predictor(i)
-                curve = online.curve_at(
-                    online.n, instance_type=key[0], zone=key[1]
-                )
-                state.online = online
-            else:
-                predictor = fit.predictor(i)
-                curve = predictor.curve_at(
-                    len(history), instance_type=key[0], zone=key[1]
-                )
-                state.predictor = predictor
-            state.curve = curve
-            state.max_price = configs[i].max_price
-            state.cursor = history.end
-            state.last_now = now
-            evicted = []
-            with self._lock:
-                if key in self._states:
-                    # Lost a race to a concurrent scalar fit: keep theirs.
-                    continue
-                self._states[key] = state
-                self._states.move_to_end(key)
-                while len(self._states) > self._cfg.max_predictors:
-                    evicted.append(self._states.popitem(last=False))
-                    self._evictions += 1
-                self._cache[key] = _CacheEntry(computed_at=now, curve=curve)
-                self._cold_fits += 1
-                self._refit_reasons["cold"] = (
-                    self._refit_reasons.get("cold", 0) + 1
-                )
-            for ekey, estate in evicted:
-                # Outside the bookkeeping lock: unenrollment takes the
-                # group lock, which must never nest inside self._lock.
-                self._unenroll(ekey, estate)
-            enroll.append((key, state))
-            fitted += 1
-        for key, state in enroll:
-            self._maybe_enroll(key, state)
+        evicted: list[tuple[str, str, float]] = []
+        for probability, group in self._groups.items():
+            with group.lock:
+                installed = []
+                for i, (key, history) in enumerate(todo.items()):
+                    if key[2] != probability:
+                        continue
+                    with self._lock:
+                        if key in self._states:
+                            # Lost a race to a concurrent fit: keep theirs.
+                            continue
+                    self._install(group.ticker, key, fit.online_predictor(i))
+                    installed.append((i, key, history))
+                curves = group.ticker.curves([key for _, key, _ in installed])
+                with self._lock:
+                    for i, key, history in installed:
+                        self._states[key] = _KeyState(
+                            curve=curves[key],
+                            cursor=history.end,
+                            last_now=now,
+                            max_price=configs[i].max_price,
+                        )
+                        self._cache[key] = _CacheEntry(
+                            computed_at=now, curve=curves[key]
+                        )
+                    self._cold_fits += len(installed)
+                    self._refit_reasons["cold"] = (
+                        self._refit_reasons.get("cold", 0) + len(installed)
+                    )
+                    evicted += self._evict_locked()
+            fitted += len(installed)
+        self._drop_slots(evicted)
         return {"fitted": fitted, "skipped": skipped}
 
     def batch_refresh(self, now: float) -> dict:
-        """Advance every enrolled key to ``now`` in one vectorised sweep.
+        """Advance every key to ``now`` in one vectorised sweep per level.
 
         The universe-wide epoch tick: per probability group, delta-fetch
-        every enrolled key, feed announcements epoch-by-epoch into the
-        group's :class:`~repro.core.universe.UniverseTicker` (keys sharing
-        an announcement timestamp advance in one array op) and publish all
+        every key, feed announcements epoch-by-epoch into the group's
+        :class:`~repro.core.universe.UniverseTicker` (keys sharing an
+        announcement timestamp advance in one array op) and publish all
         curves from a single batched ``curves()`` call. Keys hitting a
-        refit reason are ejected to the scalar path, refit inline and
-        re-enrolled. Keys already refreshed at ``now`` are skipped.
+        refit reason are refit inline into a fresh slot. Keys already
+        refreshed at ``now`` are skipped.
 
         Returns ``{"keys", "refits", "epochs", "skipped"}``.
         """
-        if not (self._cfg.batch and self._cfg.incremental):
-            return {"keys": 0, "refits": 0, "epochs": 0, "skipped": 0}
-        with self._lock:
-            groups = list(self._groups.values())
         refreshed = 0
         refits = 0
         epochs = 0
         skipped = 0
-        reenroll: list[tuple[tuple[str, str, float], _KeyState]] = []
-        for group in groups:
+        for group in self._groups.values():
             with group.lock:
                 ticker = group.ticker
                 pending: dict[tuple[str, str, float], object] = {}
-                fed: list[tuple[str, str, float]] = []
+                states: dict[tuple[str, str, float], _KeyState] = {}
                 for key in ticker.keys():
                     with self._lock:
                         state = self._states.get(key)
-                    if state is None or state.group is not group:
+                    if state is None:
+                        continue  # evicted; its slot is about to be dropped
+                    if state.last_now == now:
+                        skipped += 1
                         continue
-                    with state.lock:
-                        if state.group is not group:
-                            continue
-                        if state.last_now == now:
-                            skipped += 1
-                            continue
-                        reason = self._refit_reason(state, now, key)
-                        delta = None
-                        if reason is None:
-                            delta = self._api.describe_spot_price_history(
-                                key[0], key[1], now, since=state.cursor
-                            )
-                            if (
-                                delta is not None
-                                and float(delta.prices.max())
-                                >= state.max_price
-                            ):
-                                reason = "ladder_change"
-                        if reason is not None:
-                            ticker.remove_key(key)
-                            state.group = None
-                            curve = self._full_refit(
-                                state, key[0], key[1], key[2], now, reason
-                            )
-                            with self._lock:
-                                self._cache[key] = _CacheEntry(
-                                    computed_at=now, curve=curve
-                                )
-                            refits += 1
-                            reenroll.append((key, state))
-                            continue
-                        if delta is None:
-                            # Zero-delta: republish the identical curve.
-                            state.last_now = now
-                            with self._lock:
-                                self._cache[key] = _CacheEntry(
-                                    computed_at=now, curve=state.curve
-                                )
-                                self._incremental_refreshes += 1
-                                self._batch_ticks += 1
-                            refreshed += 1
-                            continue
+                    reason, delta = self._plan(ticker, key, state, now)
+                    if reason is None and delta is not None:
                         pending[key] = delta
-                        fed.append(key)
-                # Epoch sweep: advance all keys sharing the next announce
-                # timestamp in one vectorised observe.
-                cursors = {k: 0 for k in fed}
-                live = [k for k in fed if pending[k].times.size]
-                while live:
-                    t = min(
-                        float(pending[k].times[cursors[k]]) for k in live
+                        states[key] = state
+                        continue
+                    # A refit, or a zero-delta republish of the same curve.
+                    curve = self._refresh(ticker, key, state, now, reason, delta)
+                    if reason is None:
+                        refreshed += 1
+                    else:
+                        refits += 1
+                    with self._lock:
+                        self._cache[key] = _CacheEntry(
+                            computed_at=now, curve=curve
+                        )
+                # Epoch sweep: keys sharing an announcement timestamp
+                # advance in one vectorised observe.
+                fed = list(pending)
+                events = sorted(
+                    (t, i, price)
+                    for i, key in enumerate(fed)
+                    for t, price in zip(
+                        pending[key].times.tolist(), pending[key].prices.tolist()
                     )
-                    batch = [
-                        k
-                        for k in live
-                        if float(pending[k].times[cursors[k]]) == t
-                    ]
-                    prices = [
-                        float(pending[k].prices[cursors[k]]) for k in batch
-                    ]
-                    ticker.observe(t, prices, batch)
+                )
+                for t, epoch in itertools.groupby(events, key=lambda e: e[0]):
+                    epoch = list(epoch)
+                    ticker.observe(
+                        t, [e[2] for e in epoch], [fed[e[1]] for e in epoch]
+                    )
                     epochs += 1
-                    for k in batch:
-                        cursors[k] += 1
-                    live = [
-                        k for k in live if cursors[k] < pending[k].times.size
-                    ]
-                if fed:
-                    curves = ticker.curves(fed)
-                    for key in fed:
-                        with self._lock:
-                            state = self._states.get(key)
-                        if state is None:
-                            continue
-                        with state.lock:
+                if pending:
+                    curves = ticker.curves(list(pending))
+                    with self._lock:
+                        for key, state in states.items():
                             state.curve = curves[key]
                             state.cursor = pending[key].end
                             state.last_now = now
-                        with self._lock:
                             self._cache[key] = _CacheEntry(
                                 computed_at=now, curve=curves[key]
                             )
-                            self._incremental_refreshes += 1
-                            self._batch_ticks += 1
-                        refreshed += 1
-        for key, state in reenroll:
-            self._maybe_enroll(key, state)
+                        self._incremental_refreshes += len(pending)
+                    refreshed += len(pending)
         return {
             "keys": refreshed,
             "refits": refits,
@@ -767,62 +571,41 @@ class DraftsService:
             ]
 
     def save_state(self, directory: str | Path) -> dict:
-        """Checkpoint every incremental predictor to ``directory``.
+        """Checkpoint every key's predictor state to ``directory``.
 
         One framed, checksummed ``.snap`` file per key (see
         :mod:`repro.service.persistence`) plus a manifest, each written
-        atomically. Keys running in batch mode (``incremental=False``) hold
-        no incremental state worth persisting and are skipped. Returns
+        atomically. A key's predictor is serialised straight out of its
+        ticker slot, in the ``OnlineDraftsPredictor.to_snapshot`` format.
+        Keys evicted while the checkpoint runs are skipped. Returns
         ``{"saved", "skipped", "directory"}``.
         """
         path = Path(directory)
         path.mkdir(parents=True, exist_ok=True)
         with self._lock:
-            states = list(self._states.items())
+            keys = list(self._states)
             cache = dict(self._cache)
         saved = 0
         skipped = 0
         files = []
-        for key, state in states:
-            group = state.group  # racy read; re-validated under the locks
-            payload = None
-            if group is not None:
-                with group.lock:
-                    with state.lock:
-                        if state.group is group:
-                            payload = {
-                                "key": [key[0], key[1], float(key[2])],
-                                "cursor": float(state.cursor),
-                                "last_now": float(state.last_now),
-                                "max_price": state.max_price,
-                                "curve": (
-                                    None
-                                    if state.curve is None
-                                    else state.curve.to_dict()
-                                ),
-                                # Enrolled keys serialise straight out of
-                                # the batch ticker, in the exact scalar
-                                # snapshot format — restore always lands on
-                                # the scalar path and re-enrolls lazily.
-                                "predictor": group.ticker.key_snapshot(key),
-                            }
-            if payload is None:
-                with state.lock:
-                    if state.online is None:
-                        skipped += 1
-                        continue
-                    payload = {
-                        "key": [key[0], key[1], float(key[2])],
-                        "cursor": float(state.cursor),
-                        "last_now": float(state.last_now),
-                        "max_price": state.max_price,
-                        "curve": (
-                            None
-                            if state.curve is None
-                            else state.curve.to_dict()
-                        ),
-                        "predictor": state.online.to_snapshot(),
-                    }
+        for key in keys:
+            group = self._groups[key[2]]
+            with group.lock:
+                with self._lock:
+                    state = self._states.get(key)
+                if state is None:
+                    skipped += 1
+                    continue
+                payload = {
+                    "key": [key[0], key[1], float(key[2])],
+                    "cursor": float(state.cursor),
+                    "last_now": float(state.last_now),
+                    "max_price": state.max_price,
+                    "curve": (
+                        None if state.curve is None else state.curve.to_dict()
+                    ),
+                    "predictor": group.ticker.key_snapshot(key),
+                }
             entry = cache.get(key)
             if entry is not None:
                 payload["computed_at"] = float(entry.computed_at)
@@ -838,11 +621,13 @@ class DraftsService:
     def load_state(self, directory: str | Path) -> dict:
         """Restore predictor state checkpointed by :meth:`save_state`.
 
-        Degrades, never crashes: a missing or unreadable manifest loads
-        nothing, and any per-key file that is corrupt, torn, version-skewed
-        or otherwise unusable is skipped — that key simply cold-refits on
-        its next touch, which is the exact pre-checkpoint behaviour.
-        Returns ``{"loaded", "skipped", "errors": {file: reason}}``.
+        Each restored predictor becomes its key's ticker slot. Degrades,
+        never crashes: a missing or unreadable manifest loads nothing, and
+        any per-key file that is corrupt, torn, version-skewed or otherwise
+        unusable is skipped — that key simply cold-refits on its next
+        touch, which is the exact pre-checkpoint behaviour. Restored keys
+        count toward ``max_predictors`` like fitted ones. Returns
+        ``{"loaded", "skipped", "errors": {file: reason}}``.
         """
         path = Path(directory)
         errors: dict[str, str] = {}
@@ -858,6 +643,7 @@ class DraftsService:
                 "errors": {MANIFEST_NAME: str(exc)},
             }
         loaded = 0
+        evicted: list[tuple[str, str, float]] = []
         for name in files:
             try:
                 payload = persistence.read_snapshot(path / name, kind="key")
@@ -867,33 +653,43 @@ class DraftsService:
                     raise SnapshotError(
                         f"probability {key[2]} not published by this service"
                     )
-                state = _KeyState()
-                state.online = OnlineDraftsPredictor.from_snapshot(
+                online = OnlineDraftsPredictor.from_snapshot(
                     payload["predictor"]
                 )
-                if payload["curve"] is not None:
-                    state.curve = BidDurationCurve.from_dict(payload["curve"])
-                state.cursor = float(payload["cursor"])
-                state.last_now = float(payload["last_now"])
+                if online.config != self._drafts_config(
+                    key[2], online.config.max_price
+                ):
+                    raise SnapshotError(
+                        "predictor config differs from this service's"
+                    )
                 max_price = payload["max_price"]
-                state.max_price = (
-                    None if max_price is None else float(max_price)
+                state = _KeyState(
+                    curve=(
+                        None
+                        if payload["curve"] is None
+                        else BidDurationCurve.from_dict(payload["curve"])
+                    ),
+                    cursor=float(payload["cursor"]),
+                    last_now=float(payload["last_now"]),
+                    max_price=None if max_price is None else float(max_price),
                 )
             except Exception as exc:  # any damage -> clean refit, no crash
                 errors[name] = str(exc)
                 continue
-            with self._lock:
-                self._states[key] = state
-                self._states.move_to_end(key)
-                while len(self._states) > self._cfg.max_predictors:
-                    self._states.popitem(last=False)
-                    self._evictions += 1
-                if "computed_at" in payload:
-                    self._cache[key] = _CacheEntry(
-                        computed_at=float(payload["computed_at"]),
-                        curve=state.curve,
-                    )
+            group = self._groups[key[2]]
+            with group.lock:
+                self._install(group.ticker, key, online)
+                with self._lock:
+                    self._states[key] = state
+                    self._states.move_to_end(key)
+                    evicted += self._evict_locked()
+                    if "computed_at" in payload:
+                        self._cache[key] = _CacheEntry(
+                            computed_at=float(payload["computed_at"]),
+                            curve=state.curve,
+                        )
             loaded += 1
+        self._drop_slots(evicted)
         return {"loaded": loaded, "skipped": len(errors), "errors": errors}
 
     def cache_info(self) -> dict:
@@ -903,18 +699,13 @@ class DraftsService:
         cache; full QBETS fits split into ``cold_fits`` (the key held no
         predictor state: boot-time first touches, post-eviction refits,
         :meth:`warm_start` batch fits) and ``refits`` (the key was warm:
-        rewind/gap/rewindow/ladder_change, and every recompute with
-        ``incremental=False``), with per-trigger counts in
+        rewind/gap/rewindow/ladder_change), with per-trigger counts in
         ``refit_reasons``; ``incremental_refreshes`` counts delta-fed
         refreshes, and ``recomputes`` is the sum of all three (the
         pre-incremental service's counter); ``evictions`` counts predictor
-        states dropped
-        by the LRU bound. ``incremental_refreshes`` further splits into
-        ``batch_ticks`` (served through a group's
-        :class:`~repro.core.universe.UniverseTicker`) and ``scalar_ticks``
-        (served by a per-key scalar predictor), so the batch path's
-        coverage is observable; ``batch_keys`` counts currently enrolled
-        keys.
+        states dropped by the LRU bound. ``predictors`` counts keys holding
+        state and ``batch_keys`` the tickers' occupied slots; the two agree
+        whenever no eviction is mid-flight.
         """
         with self._lock:
             return {
@@ -931,8 +722,6 @@ class DraftsService:
                 "cold_fits": self._cold_fits,
                 "refits": self._refits,
                 "incremental_refreshes": self._incremental_refreshes,
-                "batch_ticks": self._batch_ticks,
-                "scalar_ticks": self._scalar_ticks,
                 "batch_keys": sum(
                     len(g.ticker) for g in self._groups.values()
                 ),
@@ -945,29 +734,19 @@ class DraftsService:
     ) -> dict | None:
         """Observability snapshot of one key's predictor state (or None)."""
         key = (instance_type, zone, probability)
-        with self._lock:
-            state = self._states.get(key)
-        if state is None:
+        group = self._groups.get(probability)
+        if group is None:
             return None
-        with state.lock:
-            enrolled = state.group is not None
-            if state.online is not None or enrolled:
-                mode = "incremental"
-            else:
-                mode = "batch"
-            if state.online is not None:
-                n = state.online.n
-            elif enrolled:
-                n = state.group.ticker.n(key)
-            else:
-                n = None
+        with group.lock:
+            with self._lock:
+                state = self._states.get(key)
+            if state is None:
+                return None
             return {
-                "mode": mode,
-                "batched": enrolled,
                 "cursor": state.cursor,
                 "last_now": state.last_now,
                 "max_price": state.max_price,
-                "n": n,
+                "n": group.ticker.n(key),
             }
 
     def bid_for_duration(

@@ -4,14 +4,15 @@ Four phases, matching the subsystem's acceptance criteria:
 
 ``latency``
     Steady-state reads with the simulation clock drifting across the
-    15-minute staleness horizon. The lazy baseline (``RestRouter`` over
-    ``DraftsService``) recomputes *inline* on the first stale read of each
-    key, so its tail latency is a full QBETS refit; the gateway serves the
-    stale curve immediately and refreshes in the background, so its tail
-    stays a cache read. Measured at several closed-loop thread counts,
-    with incremental refresh pinned off on both stacks so the phase
-    isolates the off-path-refresh effect (the ``refresh`` phase measures
-    the incremental effect separately).
+    15-minute staleness horizon. The lazy baseline (``RestRouter`` over a
+    service whose every recompute is the refit oracle: a from-scratch
+    :class:`~repro.core.drafts.DraftsPredictor` fit) recomputes *inline*
+    on the first stale read of each key, so its tail latency is a full
+    QBETS refit; the gateway serves the stale curve immediately and
+    refreshes in the background, so its tail stays a cache read. Measured
+    at several closed-loop thread counts. The baseline refits from scratch
+    so the phase isolates the off-path-refresh effect (the ``refresh``
+    phase measures the incremental effect separately).
 
 ``coalescing``
     K threads cold-miss one key simultaneously (behind a barrier, against
@@ -25,11 +26,11 @@ Four phases, matching the subsystem's acceptance criteria:
     (``hits + stale_hits + misses + shed + errors == requests``).
 
 ``refresh``
-    Cold fit vs steady-state refresh cost, incremental (delta-fed online
-    predictors, the §3.3 production behaviour) against the full-refit
-    baseline, A/B over the same keys and instants. Also asserts the two
-    modes publish identical curves at every refresh boundary — the
-    equivalence invariant the incremental path is allowed to exist under.
+    Cold fit vs steady-state refresh cost: the service (delta-fed ticker
+    slots, the §3.3 production behaviour) against the refit oracle, A/B
+    over the same keys and instants. Also asserts the service publishes
+    the oracle's curves at every refresh boundary — the equivalence
+    invariant the incremental path is allowed to exist under.
 
 ``restart``
     Crash-recovery cost: fitting every key from scratch vs restoring the
@@ -51,6 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.cloud.api import EC2Api
+from repro.core.drafts import DraftsPredictor
 from repro.experiments.common import scaled_universe
 from repro.market.universe import Universe
 from repro.service.drafts_service import DraftsService, ServiceConfig
@@ -208,18 +210,11 @@ def _latency_phase(cfg: ServingBenchConfig, universe, keys, start_now) -> dict:
     )
     requests = list(LoadGenerator(keys, load_cfg).requests())
     results: dict[int, dict] = {}
-    # Both stacks pin incremental refresh *off* so this phase isolates the
-    # gateway effect (recomputes moved off the read path) from the service
-    # effect (delta-fed recomputes), which the refresh phase measures on
-    # its own; with incremental on, the lazy baseline's inline recompute
-    # becomes cheap enough to blur the comparison. Published answers are
-    # bit-identical either way.
-    service_cfg = ServiceConfig(incremental=False)
     for n_threads in cfg.thread_counts:
         # Fresh stacks per thread count so caches start identically.
-        baseline = RestRouter(DraftsService(EC2Api(universe), service_cfg))
+        baseline = RestRouter(_RefitOracle(EC2Api(universe)))
         gateway = ServingGateway(
-            DraftsService(EC2Api(universe), service_cfg),
+            DraftsService(EC2Api(universe)),
             GatewayConfig(max_inflight=max(64, 4 * n_threads)),
         )
         for key in keys:  # warm both curve caches at the stream start
@@ -325,27 +320,50 @@ def _curves_match(a, b) -> bool:
     )
 
 
+class _RefitOracle(DraftsService):
+    """The refit oracle: every recompute is a from-scratch
+    :class:`DraftsPredictor` fit of the key's windowed history, at the
+    ``max_price`` the service pins for the key (set at its first fit,
+    raised only by an out-of-domain price). It is the latency phase's lazy
+    baseline and the refresh phase's full-refit arm."""
+
+    def __init__(self, api) -> None:
+        super().__init__(api)
+        self._pins: dict = {}
+
+    def _compute_curve(self, instance_type, zone, probability, now):
+        history = self.api.describe_spot_price_history(instance_type, zone, now)
+        key = (instance_type, zone, probability)
+        peak = float(history.prices.max())
+        pin = self._pins.get(key)
+        if pin is None or peak >= pin:
+            pin = self._pins[key] = max(100.0, peak * 8.0)
+        return DraftsPredictor(
+            history, self._drafts_config(probability, pin)
+        ).curve_at(len(history), instance_type=instance_type, zone=zone)
+
+
 def _refresh_phase(cfg: ServingBenchConfig, universe, keys, start_now) -> dict:
     """Per-key refresh cost: cold fit vs steady state, incremental vs refit.
 
-    Both modes walk the same keys through the same refresh instants (each
-    step lands past the staleness horizon, so every ``curve()`` call does a
-    real refresh), timing each call. The published curves are compared
-    across modes at every boundary — bit-identical or the phase reports
-    ``equivalent: False`` and the bench suite fails.
+    The service and the refit oracle walk the same keys through the same
+    refresh instants (each step lands past the staleness horizon, so
+    every ``curve()`` call does a real refresh), timing each call. The
+    published curves are compared at every boundary — bit-identical or
+    the phase reports ``equivalent: False`` and the bench suite fails.
     """
     probability = keys[0][2]
     interval = ServiceConfig().refresh_seconds + 60.0
+    service = DraftsService(
+        EC2Api(universe), ServiceConfig(probabilities=(probability,))
+    )
+    arms = {
+        "refit": _RefitOracle(EC2Api(universe)).curve,
+        "incremental": service.curve,
+    }
     out: dict = {}
     published: dict[str, list] = {}
-    for mode in ("refit", "incremental"):
-        service = DraftsService(
-            EC2Api(universe),
-            ServiceConfig(
-                probabilities=(probability,),
-                incremental=(mode == "incremental"),
-            ),
-        )
+    for mode, compute in arms.items():
         cold: list[float] = []
         steady: list[float] = []
         curves: list = []
@@ -353,18 +371,18 @@ def _refresh_phase(cfg: ServingBenchConfig, universe, keys, start_now) -> dict:
             now = start_now + step * interval
             for key in keys:
                 started = time.perf_counter()
-                curve = service.curve(key[0], key[1], probability, now)
+                curve = compute(key[0], key[1], probability, now)
                 elapsed = time.perf_counter() - started
                 (cold if step == 0 else steady).append(elapsed)
                 curves.append(curve)
-        info = service.cache_info()
         published[mode] = curves
-        out[mode] = {
-            "cold": _percentiles(cold),
-            "steady": _percentiles(steady),
-            "refits": info["refits"],
-            "incremental_refreshes": info["incremental_refreshes"],
-        }
+        out[mode] = {"cold": _percentiles(cold), "steady": _percentiles(steady)}
+    info = service.cache_info()
+    out["refit"].update(refits=cfg.refresh_steps * len(keys), incremental_refreshes=0)
+    out["incremental"].update(
+        refits=info["refits"],
+        incremental_refreshes=info["incremental_refreshes"],
+    )
     out["equivalent"] = all(
         _curves_match(a, b)
         for a, b in zip(published["refit"], published["incremental"])

@@ -349,10 +349,11 @@ class ServingGateway:
         bounded by the configured per-tick refresh budget. Piggybacks the
         periodic checkpoint when one is due.
 
-        Before scanning, all enrolled keys advance in one vectorised
-        universe tick (:meth:`DraftsService.batch_refresh`), so the
-        per-key recomputes the scan enqueues land on fresh service-cache
-        entries instead of each re-ticking its predictor scalar-wise.
+        Before scanning, every key holding predictor state advances in
+        one vectorised universe tick per probability level
+        (:meth:`DraftsService.batch_refresh`), so the per-key recomputes
+        the scan enqueues land on fresh service-cache entries instead of
+        each fetching and observing its own delta.
         """
         batched = self._service.batch_refresh(now)
         if batched.get("keys"):

@@ -143,6 +143,10 @@ class _Handler(BaseHTTPRequestHandler):
                 self.close_connection = True
             self.end_headers()
             self.wfile.write(payload)
+            # The buffered response must be on the wire before the request
+            # counts as finished: a draining stop() may shut the socket as
+            # soon as no request is in flight.
+            self.wfile.flush()
         finally:
             server.request_end()
 

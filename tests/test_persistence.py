@@ -208,16 +208,15 @@ class TestServiceCheckpoint:
         assert loaded["loaded"] == 0 and loaded["skipped"] == len(keys)
         assert all("probability" in msg for msg in loaded["errors"].values())
 
-    def test_batch_mode_keys_are_skipped_on_save(
-        self, warm_service, tmp_path
-    ):
-        universe, _, keys, now = warm_service
-        batch = DraftsService(
-            EC2Api(universe), ServiceConfig(incremental=False)
+    def test_foreign_ladder_config_is_skipped(self, warm_service, tmp_path):
+        universe, service, keys, now = warm_service
+        service.save_state(tmp_path)
+        coarse = DraftsService(
+            EC2Api(universe), ServiceConfig(ladder_increment=0.1)
         )
-        assert batch.curve(keys[0][0], keys[0][1], keys[0][2], now) is not None
-        info = batch.save_state(tmp_path / "batch")
-        assert info["saved"] == 0 and info["skipped"] == 1
+        loaded = coarse.load_state(tmp_path)
+        assert loaded["loaded"] == 0 and loaded["skipped"] == len(keys)
+        assert coarse.curve(*keys[0], now) is not None  # a clean cold fit
 
 
 class TestGatewayLifecycle:

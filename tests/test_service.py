@@ -258,25 +258,6 @@ class TestIncrementalRefresh:
             + info["incremental_refreshes"]
         )
 
-    def test_incremental_off_publishes_identical_curves(self, small_universe):
-        _, a, now = self._fresh(small_universe)
-        _, b, _ = self._fresh(small_universe, incremental=False)
-        zone = "us-east-1c"
-        for k in range(4):
-            t = now + k * 960.0
-            assert curves_equal(
-                a.curve("c4.large", zone, self.P, t),
-                b.curve("c4.large", zone, self.P, t),
-            ), f"modes diverged at refresh boundary {k}"
-        assert a.cache_info()["incremental_refreshes"] == 3
-        assert a.key_info("c4.large", zone, self.P)["mode"] == "incremental"
-        # The first fit is the boot-time cold one; with incremental off,
-        # every later recompute is a steady-state refit of a warm key.
-        assert b.cache_info()["cold_fits"] == 1
-        assert b.cache_info()["refits"] == 3
-        assert b.cache_info()["incremental_refreshes"] == 0
-        assert b.key_info("c4.large", zone, self.P)["mode"] == "batch"
-
     def test_zero_announcement_delta_republishes_same_object(
         self, small_universe
     ):
@@ -311,6 +292,22 @@ class TestIncrementalRefresh:
         b = service.curve("c4.large", zone, self.P, far)
         assert service.cache_info()["refit_reasons"] == {"cold": 1, "gap": 1}
         assert curves_equal(b, self._batch_curve(api, service, zone, far))
+
+    def test_warm_refits_are_not_counted_as_cold_fits(self, small_universe):
+        api, service, now = self._fresh(small_universe)
+        zone = "us-east-1b"
+        service.curve("c4.large", zone, self.P, now)
+        service.curve("c4.large", zone, self.P, now + 960.0)
+        service.curve("c4.large", zone, self.P, now - 5 * DAY)  # rewind
+        service.batch_refresh(now + 91 * DAY)  # gap past the API window
+        info = service.cache_info()
+        reasons = info["refit_reasons"]
+        assert reasons == {"cold": 1, "rewind": 1, "gap": 1}
+        # Only the first touch found the key without predictor state.
+        assert info["cold_fits"] == reasons["cold"]
+        assert info["refits"] == sum(
+            count for reason, count in reasons.items() if reason != "cold"
+        )
 
     def test_eviction_then_refit_stays_identical(self, small_universe):
         api, service, now = self._fresh(small_universe, max_predictors=1)
@@ -389,59 +386,44 @@ class TestIncrementalRefresh:
 
 
 class TestBatchedTick:
-    """The universe-wide batch path: enrolled keys refresh through a shared
-    :class:`~repro.core.universe.UniverseTicker` and must publish exactly
-    what the scalar incremental path publishes."""
+    """Every key lives in a shared :class:`~repro.core.universe.UniverseTicker`
+    slot; single-key refreshes and the universe-wide sweep must both publish
+    exactly what a from-scratch batch fit publishes."""
 
     P = 0.95
     ZONES = ("us-east-1b", "us-east-1c")
-
-    def _fresh(self, small_universe, **overrides):
-        api = EC2Api(small_universe)
-        service = DraftsService(
-            api, ServiceConfig(probabilities=(self.P,), **overrides)
-        )
-        combo = small_universe.combo("c4.large", "us-east-1b")
-        now = small_universe.trace(combo).start + 45 * DAY
-        return api, service, now
+    _fresh = TestIncrementalRefresh._fresh
+    _batch_curve = TestIncrementalRefresh._batch_curve
 
     def test_batched_curves_identical_to_scalar_path(self, small_universe):
-        _, batched, now = self._fresh(small_universe)
-        _, scalar, _ = self._fresh(small_universe, batch=False)
+        api, service, now = self._fresh(small_universe)
         for k in range(5):
             t = now + k * 960.0
             for zone in self.ZONES:
                 assert curves_equal(
-                    batched.curve("c4.large", zone, self.P, t),
-                    scalar.curve("c4.large", zone, self.P, t),
-                ), f"paths diverged at boundary {k} ({zone})"
-        b_info, s_info = batched.cache_info(), scalar.cache_info()
-        # Same refresh work either way; only the mechanism differs.
-        assert b_info["incremental_refreshes"] == s_info["incremental_refreshes"]
-        assert b_info["batch_ticks"] == b_info["incremental_refreshes"] > 0
-        assert b_info["scalar_ticks"] == 0
-        assert b_info["batch_keys"] == len(self.ZONES)
-        assert s_info["batch_ticks"] == 0
-        assert s_info["scalar_ticks"] == s_info["incremental_refreshes"] > 0
-        assert s_info["batch_keys"] == 0
+                    service.curve("c4.large", zone, self.P, t),
+                    self._batch_curve(api, service, zone, t),
+                ), f"diverged from the batch fit at boundary {k} ({zone})"
+        info = service.cache_info()
+        assert info["incremental_refreshes"] == 4 * len(self.ZONES)
+        assert info["batch_keys"] == info["predictors"] == len(self.ZONES)
 
     def test_key_info_reports_enrollment(self, small_universe):
-        _, batched, now = self._fresh(small_universe)
-        _, scalar, _ = self._fresh(small_universe, batch=False)
-        for service in (batched, scalar):
-            service.curve("c4.large", "us-east-1b", self.P, now)
-            service.curve("c4.large", "us-east-1b", self.P, now + 960.0)
-        b_info = batched.key_info("c4.large", "us-east-1b", self.P)
-        s_info = scalar.key_info("c4.large", "us-east-1b", self.P)
-        assert b_info["mode"] == s_info["mode"] == "incremental"
-        assert b_info["batched"] is True
-        assert s_info["batched"] is False
-        # The enrolled key's history length is read through the ticker.
-        assert b_info["n"] == s_info["n"] > 0
+        api, service, now = self._fresh(small_universe)
+        service.curve("c4.large", "us-east-1b", self.P, now)
+        service.curve("c4.large", "us-east-1b", self.P, now + 960.0)
+        info = service.key_info("c4.large", "us-east-1b", self.P)
+        # The key's history length is read through the ticker: the cold
+        # fit and the delta together consumed the whole (unclipped) window.
+        history = api.describe_spot_price_history(
+            "c4.large", "us-east-1b", now + 960.0
+        )
+        assert info["n"] == len(history) > 0
+        assert info["last_now"] == now + 960.0
+        assert service.key_info("c4.large", "us-east-1c", self.P) is None
 
     def test_batch_refresh_sweeps_all_enrolled_keys(self, small_universe):
-        _, service, now = self._fresh(small_universe)
-        _, reference, _ = self._fresh(small_universe, batch=False)
+        api, service, now = self._fresh(small_universe)
         for zone in self.ZONES:
             service.curve("c4.large", zone, self.P, now)
         later = now + 960.0
@@ -456,10 +438,10 @@ class TestBatchedTick:
         hits_before = service.cache_info()["hits"]
         for zone in self.ZONES:
             # The sweep already published: this is a pure cache hit, and
-            # the curve matches the scalar path at the same instant.
+            # the curve matches a batch fit at the same instant.
             assert curves_equal(
                 service.curve("c4.large", zone, self.P, later),
-                reference.curve("c4.large", zone, self.P, later),
+                self._batch_curve(api, service, zone, later),
             )
         assert service.cache_info()["hits"] == hits_before + len(self.ZONES)
         # A second sweep at the same instant has nothing to do.
@@ -470,26 +452,20 @@ class TestBatchedTick:
         api, service, now = self._fresh(small_universe)
         service.curve("c4.large", "us-east-1b", self.P, now)
         # 91 days later the delta window no longer reaches the cursor: the
-        # sweep must eject the key, refit it, and re-enroll it.
+        # sweep must refit the key into a fresh ticker slot.
         far = now + 91 * DAY
         swept = service.batch_refresh(far)
         assert swept["refits"] == 1 and swept["keys"] == 0
         assert service.cache_info()["refit_reasons"] == {"cold": 1, "gap": 1}
+        assert service.cache_info()["batch_keys"] == 1
         info = service.key_info("c4.large", "us-east-1b", self.P)
-        assert info["batched"] is True and info["last_now"] == far
+        assert info["last_now"] == far
         # The refit sweep published the refit curve at ``far``.
         hits_before = service.cache_info()["hits"]
-        assert service.curve("c4.large", "us-east-1b", self.P, far) is not None
+        served = service.curve("c4.large", "us-east-1b", self.P, far)
+        oracle = self._batch_curve(api, service, "us-east-1b", far)
+        assert curves_equal(served, oracle)
         assert service.cache_info()["hits"] == hits_before + 1
-
-    def test_batch_refresh_disabled_modes_are_noops(self, small_universe):
-        for overrides in ({"batch": False}, {"incremental": False}):
-            _, service, now = self._fresh(small_universe, **overrides)
-            service.curve("c4.large", "us-east-1b", self.P, now)
-            assert service.batch_refresh(now + 960.0) == {
-                "keys": 0, "refits": 0, "epochs": 0, "skipped": 0,
-            }
-            assert service.cache_info()["batch_keys"] == 0
 
     def test_eviction_unenrolls_without_ghost_slots(self, small_universe):
         api, service, now = self._fresh(small_universe, max_predictors=1)
@@ -501,6 +477,29 @@ class TestBatchedTick:
         assert info["predictors"] == 1
         # Every eviction removed the displaced key's ticker slot too.
         assert info["batch_keys"] <= 1
+
+    def test_load_state_eviction_frees_ticker_slots(
+        self, small_universe, tmp_path
+    ):
+        api, saved, now = self._fresh(small_universe)
+        for zone in ("us-east-1d", "us-east-1e"):
+            saved.curve("c4.large", zone, self.P, now)
+        saved.save_state(tmp_path)
+        _, service, _ = self._fresh(small_universe, max_predictors=2)
+        for zone in self.ZONES:
+            service.curve("c4.large", zone, self.P, now)
+        # Restoring two other keys evicts both warm ones ...
+        assert service.load_state(tmp_path)["loaded"] == 2
+        later = now + 960.0
+        for zone in ("us-east-1d", "us-east-1e"):
+            assert curves_equal(
+                service.curve("c4.large", zone, self.P, later),
+                self._batch_curve(api, service, zone, later),
+            )
+        # ... and their ticker slots with them.
+        info = service.cache_info()
+        assert info["batch_keys"] == info["predictors"] <= 2
+        assert info["evictions"] == 2
 
 
 class TestServiceInvariants:
