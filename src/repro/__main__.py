@@ -22,7 +22,8 @@ Commands:
     published curves and bid queries are bit-identical at every
     checkpoint; exits non-zero on the first divergence.
 ``fit-smoke [--keys N] [--epochs N] [--probability P]``
-    Batch-fit an N-key universe (ragged history lengths) through the
+    Batch-fit an N-key universe (ragged history lengths, keys alternating
+    between ``P`` and a second published level) in one call through the
     structure-of-arrays phase-1 fitter and verify bound series, change
     points, ladders and bid queries are bit-identical to per-key scalar
     ``DraftsPredictor`` fits; exits non-zero on the first divergence.
@@ -266,7 +267,14 @@ def _cmd_fit_smoke(args: argparse.Namespace) -> int:
     from repro.core.universe_fit import fit_drafts_universe
     from repro.market.synthetic import VOLATILITY_CLASSES, synthetic_trace
 
-    config = DraftsConfig(probability=args.probability)
+    # Two probability levels in one lockstep pass (alternating keys): the
+    # requested one and the other level the service publishes.
+    other = 0.95 if args.probability == 0.99 else 0.99
+    levels = (
+        DraftsConfig(probability=args.probability),
+        DraftsConfig(probability=other),
+    )
+    configs = [levels[i % 2] for i in range(args.keys)]
     classes = list(VOLATILITY_CLASSES)
     # Ragged history lengths on purpose: the batch fitter pads and masks
     # short keys, and every length must still match its scalar fit.
@@ -280,9 +288,12 @@ def _cmd_fit_smoke(args: argparse.Namespace) -> int:
         for i in range(args.keys)
     ]
 
-    fit = fit_drafts_universe(traces, config)
+    fit = fit_drafts_universe(traces, configs)
     preds = [fit.predictor(k) for k in range(args.keys)]
-    refs = [DraftsPredictor(trace, config) for trace in traces]
+    refs = [
+        DraftsPredictor(trace, config)
+        for trace, config in zip(traces, configs)
+    ]
 
     def floats_equal(a: float, b: float) -> bool:
         return a == b or (math.isnan(a) and math.isnan(b))
@@ -320,7 +331,8 @@ def _cmd_fit_smoke(args: argparse.Namespace) -> int:
     print(
         f"fit-smoke: ok — {checked} keys "
         f"({min(len(t) for t in traces)}-{max(len(t) for t in traces)} "
-        f"epochs, ragged), batch fit bit-identical to the scalar path"
+        f"epochs, ragged; p = {args.probability:g}/{other:g} alternating), "
+        f"batch fit bit-identical to the scalar path"
     )
     return 0
 
@@ -927,7 +939,9 @@ def main(argv: list[str] | None = None) -> int:
         "scalar predictors",
     )
     p_fsm.add_argument("--keys", type=int, default=32)
-    p_fsm.add_argument("--epochs", type=int, default=400)
+    # Long enough that the ragged lengths (75-100 % of --epochs) straddle
+    # min_history at q = sqrt(0.99) (919): both levels publish bounds.
+    p_fsm.add_argument("--epochs", type=int, default=1200)
     p_fsm.add_argument("--probability", type=float, default=0.95)
     p_fsm.add_argument("--seed", type=int, default=900)
     p_fsm.set_defaults(func=_cmd_fit_smoke)

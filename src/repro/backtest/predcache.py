@@ -142,13 +142,12 @@ def get_predictors_batch(
 ) -> list[DraftsPredictor]:
     """Fetch predictors for many combos, batch-fitting every miss at once.
 
-    ``configs`` may be one shared config or one per trace (the batch fitter
-    groups keys by QBETS-equivalent config internally, so mixed ladder
-    domains and probabilities still fit in few passes).  Cached combos are
-    served from the LRU (counted as hits); the misses go through
-    :func:`repro.core.universe_fit.fit_drafts_universe` in a single
-    universe-wide phase-1 pass and are registered back into the cache, so
-    subsequent scalar-path :func:`get_predictor` calls hit.
+    ``configs`` may be one shared config or one per trace (mixed ladder
+    domains and probabilities still fit in one lockstep pass).  Cached
+    combos are served from the LRU (counted as hits); the misses go
+    through :func:`repro.core.universe_fit.fit_drafts_universe` in a
+    single universe-wide phase-1 pass and are registered back into the
+    cache, so subsequent scalar-path :func:`get_predictor` calls hit.
     """
     if isinstance(configs, DraftsConfig):
         cfg_list = [configs] * len(traces)

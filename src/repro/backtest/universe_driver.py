@@ -27,13 +27,16 @@ import numpy as np
 
 from repro.backtest import predcache
 from repro.backtest.engine import BacktestConfig, sample_requests
+from repro.baselines.ar1 import AR1Bid
 from repro.core.drafts import DraftsConfig, DraftsPredictor
+from repro.core.qbets import QBETSConfig
 from repro.core.universe import UniverseTicker
+from repro.core.universe_fit import fit_drafts_universe
 from repro.market.traces import PriceTrace
 from repro.market.universe import Combo, Universe
 from repro.util.rng import RngFactory
 
-__all__ = ["drafts_bids", "drafts_predictor_config"]
+__all__ = ["drafts_bids", "drafts_predictor_config", "prefit_phase1"]
 
 
 def drafts_predictor_config(
@@ -42,6 +45,44 @@ def drafts_predictor_config(
     """The config :meth:`DraftsBid.for_combo` fits a combination with."""
     max_price = max(100.0, float(trace.prices.max()) * 8.0)
     return DraftsConfig(probability=probability, max_price=max_price)
+
+
+def prefit_phase1(
+    traces: list[PriceTrace],
+    probability: float,
+    *,
+    drafts: bool = True,
+    ar1: bool = True,
+) -> int:
+    """Fit everything a Table 1 sweep reads from QBETS in one lockstep pass.
+
+    The DrAFTS predictors :mod:`~repro.backtest.predcache` lacks (phase 1
+    at ``q = sqrt(p)``) and the AR(1) segmentations
+    :class:`~repro.baselines.ar1.AR1Bid`'s prefit cache lacks (change
+    points at ``q = p``, as segmentation-only keys) go through a single
+    :func:`~repro.core.universe_fit.fit_drafts_universe` call and land in
+    those caches, where :func:`drafts_bids` and ``AR1Bid.for_combo`` find
+    them. Returns the number of keys fitted.
+    """
+    keys: list[tuple[PriceTrace, DraftsConfig | QBETSConfig]] = []
+    if drafts:
+        for trace in traces:
+            config = drafts_predictor_config(trace, probability)
+            if predcache.peek_predictor(trace, config) is None:
+                keys.append((trace, config))
+    if ar1:
+        keys.extend(AR1Bid.segmentation_todo(traces, probability))
+    if not keys:
+        return 0
+    fit = fit_drafts_universe(
+        [trace for trace, _ in keys], [config for _, config in keys]
+    )
+    for k, (trace, config) in enumerate(keys):
+        if isinstance(config, QBETSConfig):
+            AR1Bid.store_segmentation(trace, config, fit.changepoints(k))
+        else:
+            predcache.put_predictor(trace, config, fit.predictor(k))
+    return len(keys)
 
 
 def _fallback_bids(

@@ -29,6 +29,7 @@ from scipy import stats
 
 from repro.baselines.base import BidStrategy
 from repro.core.qbets import QBETS, QBETSConfig
+from repro.core.universe_fit import fit_drafts_universe
 from repro.market.traces import PriceTrace
 from repro.market.universe import Combo
 from repro.util.validation import check_probability
@@ -43,6 +44,11 @@ def _scan_key(
     return (digest, float(probability), float(max_price))
 
 
+def _segmentation_config(probability: float, max_price: float) -> QBETSConfig:
+    """The QBETS configuration the change-point segmentation runs with."""
+    return QBETSConfig(q=probability, c=0.99, side="upper", max_value=max_price)
+
+
 class AR1Bid(BidStrategy):
     """Stationary-distribution quantile of a segment-wise AR(1) fit."""
 
@@ -51,8 +57,9 @@ class AR1Bid(BidStrategy):
     #: Minimum segment length before a fit is attempted.
     MIN_SEGMENT = 64
 
-    #: Process-wide change-point prefit cache, populated by
-    #: :meth:`prefit_universe` so per-combo construction skips the scan.
+    #: Process-wide change-point prefit cache, filled by
+    #: :meth:`store_segmentation` (after a batched pass such as
+    #: :meth:`prefit_universe`) so per-combo construction skips the scan.
     #: Entries are tiny (a handful of ints per combo).
     _scan_cache: dict[tuple[str, float, float], np.ndarray] = {}
 
@@ -72,11 +79,7 @@ class AR1Bid(BidStrategy):
             return
         # Reuse DrAFTS's change-point machinery (same detector, same
         # decimation) purely for segmentation, as §4.1.3 describes.
-        qb = QBETS(
-            QBETSConfig(
-                q=probability, c=0.99, side="upper", max_value=max_price
-            )
-        )
+        qb = QBETS(_segmentation_config(probability, max_price))
         # scan() evolves the detector state exactly like bound_series()
         # but skips the per-step bound selection this baseline never reads.
         qb.scan(self._prices)
@@ -95,47 +98,57 @@ class AR1Bid(BidStrategy):
         )
 
     @classmethod
-    def prefit_universe(
+    def segmentation_todo(
         cls, traces: list[PriceTrace], probability: float
-    ) -> int:
-        """Batch-scan every trace's change points in one SoA pass.
+    ) -> list[tuple[PriceTrace, QBETSConfig]]:
+        """Traces whose segmentation the prefit cache lacks, deduplicated.
 
-        Populates the prefit cache that :meth:`for_combo` consults, so a
-        sweep's per-combo constructions become cache lookups instead of
-        452 scalar ``QBETS.scan`` replays.  Traces already cached are
-        skipped; returns how many were newly scanned.
+        Each comes with the QBETS configuration :meth:`for_combo` segments
+        it with; fit it (any path bit-identical to ``QBETS.bound_series``)
+        and hand the change points to :meth:`store_segmentation`.
         """
         check_probability(probability, "probability")
-        from repro.core.universe_fit import scan_universe
-
-        todo: list[tuple[tuple[str, float, float], PriceTrace]] = []
+        todo: list[tuple[PriceTrace, QBETSConfig]] = []
         seen: set[tuple[str, float, float]] = set()
         for trace in traces:
-            key = _scan_key(
-                trace.prices, probability, cls._combo_max_price(trace)
-            )
+            max_price = cls._combo_max_price(trace)
+            key = _scan_key(trace.prices, probability, max_price)
             if key in cls._scan_cache or key in seen:
                 continue
             seen.add(key)
-            todo.append((key, trace))
-        if not todo:
-            return 0
-        result = scan_universe(
-            [trace.prices for _, trace in todo],
-            [
-                QBETSConfig(
-                    q=probability,
-                    c=0.99,
-                    side="upper",
-                    max_value=cls._combo_max_price(trace),
-                )
-                for _, trace in todo
-            ],
-        )
-        for k, (key, _) in enumerate(todo):
-            cls._scan_cache[key] = np.asarray(
-                result.changepoints(k), dtype=np.int64
+            todo.append((trace, _segmentation_config(probability, max_price)))
+        return todo
+
+    @classmethod
+    def store_segmentation(
+        cls, trace: PriceTrace, config: QBETSConfig, changepoints
+    ) -> None:
+        """Register ``trace``'s change points under ``config``'s cache key."""
+        key = _scan_key(trace.prices, config.q, config.max_value)
+        cls._scan_cache[key] = np.asarray(changepoints, dtype=np.int64)
+
+    @classmethod
+    def prefit_universe(
+        cls, traces: list[PriceTrace], probability: float
+    ) -> int:
+        """Segment every trace's change points in one batched pass.
+
+        Populates the prefit cache that :meth:`for_combo` consults, so a
+        sweep's per-combo constructions become cache lookups instead of
+        452 scalar ``QBETS.scan`` replays. The traces ride one
+        :func:`~repro.core.universe_fit.fit_drafts_universe` pass as
+        segmentation-only keys (a sweep that also fits DrAFTS sends both
+        through one pass instead, see
+        :func:`repro.backtest.universe_driver.prefit_phase1`). Traces
+        already cached are skipped; returns how many were newly segmented.
+        """
+        todo = cls.segmentation_todo(traces, probability)
+        if todo:
+            fit = fit_drafts_universe(
+                [trace for trace, _ in todo], [cfg for _, cfg in todo]
             )
+            for k, (trace, cfg) in enumerate(todo):
+                cls.store_segmentation(trace, cfg, fit.changepoints(k))
         return len(todo)
 
     @classmethod

@@ -74,7 +74,6 @@ from repro.core.universe_fit import (
     UniverseFitResult,
     fit_drafts_universe,
     fit_universe,
-    scan_universe,
 )
 
 __all__ = [
@@ -85,7 +84,6 @@ __all__ = [
     "DraftsUniverseFit",
     "fit_universe",
     "fit_drafts_universe",
-    "scan_universe",
 ]
 
 #: Headroom added on top of ``k+1`` when (re)sizing selection buffers, so

@@ -6,28 +6,39 @@ paper-scale Table 1 sweep fits 452 of them back to back, and PR 6's
 per-combo fit. This module performs the same phase-1 replay for the whole
 universe at once, as one structure-of-arrays pass per *epoch column*:
 
-* Histories are stored transposed, ``(time, key)``, keys sorted by length
+* Histories are stored transposed, ``(time, key)`` (keys fitted from one
+  price array share its column), keys sorted by length
   descending — the active set at column ``i`` is always a prefix, and every
   active key has consumed exactly ``i`` observations, so the change-point
   decimation clock (``n_seen % cp_decimation``) is one shared scalar per
   column. That lockstep is what makes the bound series column-sweepable:
   all per-key state transitions at column ``i`` depend only on state after
   column ``i - 1`` plus the column's price vector.
-* Each key's quantised tick multiset lives in a per-key *segment tree over
-  its rank-compressed slot alphabet* (a ``(keys, 2*S)`` count matrix);
-  pushing a column is ``depth + 1`` vectorised increments, and every order
-  statistic the scalar path reads (bound selection, the change-point
-  "low" threshold, the autocorrelation threshold) is one lockstep
-  binary-search descent across all queried keys — the same kernel style as
-  :func:`repro.core.universe.kth_of_two_sorted`.
-* The shared binomial index table is snapshotted once per fit
-  (:func:`repro.core.binomial.index_table`), so the per-column bound
-  selection is a gather instead of 452 list probes.
+* Each key's quantised tick multiset lives in a *two-level count table
+  over its rank-compressed slot alphabet*: per-slot counts plus per-block
+  counts (blocks of ``B ~ sqrt(alphabet)`` slots), every key's alphabet
+  laid end to end in one flat array. Pushing a column is two fancy-index
+  increments; every order statistic the scalar path reads (bound
+  selection, the change-point "low" threshold, the autocorrelation
+  threshold) is two cumsum-and-count steps across all queried keys at
+  once — over the key's blocks, then over the slots of the chosen block;
+  a change point rebuilds a key's counts with one ``bincount``.
+* Keys may differ in ``q`` (as well as ``max_value``): the binomial index
+  table row, the up-detector's critical hit count, ``min_history`` (the
+  ESS floor, the change-point keep length, the winsorisation pad) and the
+  autocorrelation threshold quantile are per-key arrays, so DrAFTS price
+  bounds at several probability levels — and the AR(1) baseline's
+  segmentation at its own ``q`` — share one lockstep pass.
+* The recent-observation rings run on the shared column clock (column
+  ``i`` writes slot ``i % window`` of every key), so a full ring's
+  chronological order is the same rotation for every key and the
+  autocorrelation refresh counts adjacent exceedance pairs without a
+  per-key gather.
 
 Change points are the one genuinely scalar event: they are rare (a few per
 key per fit), so each firing is handled by a per-key Python mirror of
 ``QBETS.update``'s truncation/winsorisation branch, rewriting that key's
-history segment in place and rebuilding its tree row. If a key's
+history segment in place and rebuilding its count-table row. If a key's
 post-change state cannot be represented in its compressed alphabet (a
 winsorisation pad re-quantises to an unseen slot — impossible for realistic
 price domains, but the rule is explicit), the key is *ejected to scalar*: a
@@ -37,11 +48,11 @@ universe fallback for configurations the SoA kernels do not cover
 (``side != "upper"``, the Monte-Carlo ``autocorr_mode="table"``).
 
 Every floating-point expression mirrors the scalar code's operation order
-(including the ``int(n * num / den)`` ESS truncation and the per-key BLAS
-``np.dot`` inside :func:`repro.util.stats.lag1_autocorr`), so the produced
-bound series, change points, final states and ladders are bit-identical to
-per-key ``QBETS.bound_series`` — asserted by tests/test_universe_fit.py and
-gated by benchmarks/bench_universe_fit.py.
+(including the ``int(n * num / den)`` ESS truncation), and the lag-1
+autocorrelation of a full power-of-two window is evaluated as an exact
+integer ratio, so the produced bound series, change points, final states
+and ladders are bit-identical to per-key ``QBETS.bound_series`` — asserted
+by tests/test_universe_fit.py and gated by benchmarks/bench_universe_fit.py.
 """
 
 from __future__ import annotations
@@ -57,7 +68,6 @@ from repro.core.changepoint import BinomialRunDetector
 from repro.core.drafts import DraftsConfig, DraftsPredictor, ladder_levels
 from repro.core.durations import DurationLadder
 from repro.core.qbets import QBETS, QBETSConfig
-from repro.util.stats import lag1_autocorr
 
 __all__ = [
     "DraftsUniverseFit",
@@ -65,8 +75,10 @@ __all__ = [
     "UniverseFitter",
     "fit_drafts_universe",
     "fit_universe",
-    "scan_universe",
 ]
+
+#: ``k`` sentinel that differs from every real index: forces a re-selection.
+_NO_K = np.iinfo(np.int64).min
 
 
 def _batchable(cfg: QBETSConfig) -> bool:
@@ -83,6 +95,16 @@ def _batchable(cfg: QBETSConfig) -> bool:
     return True
 
 
+def _lockstep_fields(cfg: QBETSConfig) -> QBETSConfig:
+    """The part of a config every key of one lockstep pass must share.
+
+    ``q`` and ``max_value`` are per-key state; everything else (tick,
+    decimation, windows, refresh cadence, confidence, switches) fixes the
+    shape or the clock of the shared column sweep.
+    """
+    return replace(cfg, q=0.5, max_value=1.0)
+
+
 class UniverseFitter:
     """One batched phase-1 fit over many price histories.
 
@@ -93,15 +115,15 @@ class UniverseFitter:
         empty).
     configs:
         One :class:`QBETSConfig` shared by every key, or a sequence of
-        per-key configs. All configs must agree on every field except
-        ``max_value`` (the tracker domain may vary per key); disagreement
-        raises ``ValueError`` because lockstep columns require shared
-        decimation/window/quantile parameters.
-    need_bounds:
-        ``True`` (fit mode) materialises the full per-key bound series,
-        exactly as ``QBETS.bound_series`` would. ``False`` (scan mode)
-        evolves state identically — change points, final state — but skips
-        the per-column order-statistic selection, mirroring ``QBETS.scan``.
+        per-key configs. Configs may differ in ``q`` and ``max_value``
+        and must agree on every other field; disagreement raises
+        ``ValueError`` because lockstep columns require shared
+        decimation/window/refresh parameters.
+    store_bounds:
+        Per-key flags (default: all ``True``). A key with ``False`` is
+        *segmentation-only*: its state evolves exactly as under
+        ``QBETS.bound_series`` — change points, final bound, exported
+        state — but its per-announcement bound series is not stored.
     eject_after:
         Testing/debug hook: ``{key_index: column}`` forces the key onto the
         scalar ejection path just before that column is consumed. The
@@ -114,7 +136,7 @@ class UniverseFitter:
         series: Sequence[np.ndarray],
         configs: QBETSConfig | Sequence[QBETSConfig],
         *,
-        need_bounds: bool = True,
+        store_bounds: Sequence[bool] | None = None,
         eject_after: dict[int, int] | None = None,
     ) -> None:
         arrays = [np.asarray(s, dtype=np.float64).ravel() for s in series]
@@ -128,52 +150,51 @@ class UniverseFitter:
                 f"{len(cfg_list)} configs for {K} series"
             )
         if K:
-            shared = {replace(c, max_value=1.0) for c in cfg_list}
+            shared = {_lockstep_fields(c) for c in cfg_list}
             if len(shared) > 1:
                 raise ValueError(
-                    "batched fit requires configs identical up to max_value; "
-                    f"got {len(shared)} distinct configurations"
+                    "batched fit requires configs identical up to q and "
+                    f"max_value; got {len(shared)} distinct configurations"
                 )
+        keep = (
+            np.ones(K, dtype=bool)
+            if store_bounds is None
+            else np.asarray(store_bounds, dtype=bool).ravel()
+        )
+        if keep.size != K:
+            raise ValueError(f"{keep.size} store_bounds flags for {K} series")
         self._series = arrays
         self._cfg_for = cfg_list
-        self._need_bounds = need_bounds
         self._K = K
         self._lengths = np.array([a.size for a in arrays], dtype=np.int64)
         self._T = int(self._lengths.max()) if K else 0
         self._ejected: dict[int, QBETS] = {}
         self._ejected_mask = np.zeros(K, dtype=bool)
         self._cps: list[list[int]] = [[] for _ in range(K)]
-        self._scan_final = np.full(K, np.nan)
-        if K == 0 or self._T == 0:
-            self._order = np.arange(K, dtype=np.int64)
-            self._inv = np.arange(K, dtype=np.int64)
-            self._bound = np.full(K, np.nan)
-            self._out_T = None
-            self._fallback = True
-            self._run_fallback()
-            return
-        cfg = cfg_list[0]
-        self._fallback = not _batchable(cfg)
-        # Sorted-by-length-descending key layout; everything below indexes
-        # keys by their *sorted* position j, translated at the API edge.
-        order = np.argsort(-self._lengths, kind="stable")
+        # Sorted-by-length-descending key layout (bound-storing keys first
+        # among equal lengths); everything below indexes keys by their
+        # *sorted* position j, translated at the API edge.
+        order = np.lexsort((~keep, -self._lengths))
         self._order = order
         inv = np.empty(K, dtype=np.int64)
         inv[order] = np.arange(K, dtype=np.int64)
         self._inv = inv
         self._len_sorted = self._lengths[order]
+        # Bound-storing keys in sorted order; a key's output column is its
+        # rank among them, so the active storing keys are a prefix too.
+        self._bpos = np.flatnonzero(keep[order])
+        self._bcol = np.full(K, -1, dtype=np.int64)
+        self._bcol[self._bpos] = np.arange(self._bpos.size, dtype=np.int64)
+        self._out_T = np.zeros((self._T, self._bpos.size), dtype=np.float64)
+        self._bound = np.full(K, np.nan)
         self._eject_at: dict[int, list[int]] = {}
         if eject_after:
             for k, col in eject_after.items():
                 self._eject_at.setdefault(int(col), []).append(int(inv[k]))
-        self._out_T = (
-            np.zeros((self._T, K), dtype=np.float64) if need_bounds else None
-        )
-        self._bound = np.full(K, np.nan)
-        if self._fallback:
+        if self._T == 0 or not _batchable(cfg_list[0]):
             self._run_fallback()
             return
-        self._setup(cfg)
+        self._setup(cfg_list[0])
         self._run()
 
     # -- setup ---------------------------------------------------------------
@@ -181,133 +202,45 @@ class UniverseFitter:
     def _setup(self, cfg: QBETSConfig) -> None:
         K, T = self._K, self._T
         order = self._order
+        cfgs = [self._cfg_for[k] for k in order.tolist()]
         self._tick = float(cfg.tick)
-        self._q = float(cfg.q)
         self._cp_down_q = float(cfg.cp_down_quantile)
         self._autocorr = bool(cfg.autocorr)
         self._use_cp = bool(cfg.changepoint)
         self._decim = int(cfg.cp_decimation)
         self._refresh = int(cfg.autocorr_refresh)
-        self._min_history = cfg.min_history()
-        self._keep_base = max(cfg.cp_window * self._decim, self._min_history)
         self._Wa = int(cfg.autocorr_window)
-        self._arange_wa = np.arange(self._Wa, dtype=np.int64)
-        # The closed-form lag-1 fast path needs m = hits/Wa (and every
-        # partial sum) exactly representable: Wa a power of two, small
-        # enough that Wa^3 stays under 2^53.
-        self._exact_lag1 = (
-            self._Wa >= 2
-            and (self._Wa & (self._Wa - 1)) == 0
-            and self._Wa <= (1 << 17)
-        )
         self._Wd = int(cfg.cp_window)
-        limits = np.array(
-            [
-                int(math.ceil(self._cfg_for[k].max_value / self._tick)) + 1
-                for k in order.tolist()
-            ],
-            dtype=np.int64,
+        # The exact-ratio lag-1 path needs m = hits/Wa exactly
+        # representable: Wa a power of two, small enough that Wa^3 stays
+        # under 2^53.
+        self._exact_lag1 = (
+            (self._Wa & (self._Wa - 1)) == 0 and self._Wa <= (1 << 17)
         )
-        self._slots_limit = limits
-        slot_dtype = np.int64 if int(limits.max()) > 2**31 - 1 else np.int32
-        self._prices_T = np.zeros((T, K), dtype=np.float64)
-        for j, k in enumerate(order.tolist()):
-            x = self._series[k]
-            if x.size:
-                self._prices_T[: x.size, j] = x
-        # Validate and quantise the whole matrix at once (the zero pads
-        # quantise to slot 0 and trivially pass both checks); only fall
-        # back to a per-value walk to reproduce the scalar tracker's exact
-        # error message for the first offending value in arrival order.
-        if not (np.isfinite(self._prices_T).all() and (self._prices_T >= 0).all()):
-            for j in range(K):
-                x = self._prices_T[: self._len_sorted[j], j]
-                bad = np.flatnonzero((x < 0) | ~np.isfinite(x))
-                if bad.size:
-                    v = float(x[bad[0]])
-                    if v < 0:
-                        raise ValueError(
-                            f"values must be non-negative, got {v}"
-                        )
-                    raise ValueError(f"values must be finite, got {v}")
-        slots_f = np.ceil(self._prices_T / self._tick - 1e-9)
-        # Domain-check on the float slots BEFORE the integer cast so an
-        # out-of-domain price cannot wrap around a narrow slot dtype.
-        if (slots_f.max(axis=0) >= limits).any():
-            for j in range(K):
-                n = int(self._len_sorted[j])
-                over = np.flatnonzero(slots_f[:n, j] >= limits[j])
-                if over.size:
-                    raise ValueError(
-                        f"value {float(self._prices_T[over[0], j])} exceeds "
-                        f"tracker domain (max {(limits[j] - 1) * self._tick})"
-                    )
-        slots_all = slots_f.astype(slot_dtype)
-        self._slots_T = slots_all
-        U_arr = np.zeros(K, dtype=np.int64)
-        uniqs: list[np.ndarray] = []
-        for j in range(K):
-            n = int(self._len_sorted[j])
-            if n == 0:
-                uniqs.append(np.zeros(0, dtype=np.int64))
-                continue
-            u = np.unique(slots_all[:n, j])
-            U_arr[j] = u.size
-            uniqs.append(u)
-        self._U = U_arr
-        U_max = max(int(U_arr.max()), 1)
-        S = 1
-        while S < U_max:
-            S <<= 1
-        self._S = S
-        self._depth = S.bit_length() - 1
-        self._tree_stride = 2 * S
-        self._uniq = np.zeros((K, S), dtype=np.int64)
-        self._comp_T = np.zeros((T, K), dtype=np.int32)
-        for j, u in enumerate(uniqs):
-            n = int(self._len_sorted[j])
-            if u.size == 0:
-                continue
-            self._uniq[j, : u.size] = u
-            # Pad with the last slot so clipped leaves stay in-alphabet.
-            self._uniq[j, u.size :] = u[-1]
-            self._comp_T[:n, j] = np.searchsorted(u, self._slots_T[:n, j])
-        self._leaf_cap = np.maximum(U_arr - 1, 0)
-        self._tree = np.zeros((K, 2 * S), dtype=np.int32)
-        self._tree_flat = self._tree.reshape(-1)
-        self._level_shifts = np.arange(
-            self._depth + 1, dtype=np.int64
-        )[:, None]
-        self._ar = np.arange(K, dtype=np.int64)
-        self._rows_base = self._ar * self._tree_stride
-        # Scratch buffers for the lockstep descent + push kernels; sliced
-        # per call so the hot loop never allocates.
-        self._sel_node = np.empty(K, dtype=np.int64)
-        self._sel_r = np.empty(K, dtype=np.int64)
-        self._sel_base = np.empty(K, dtype=np.int64)
-        self._sel_idx = np.empty(K, dtype=np.int64)
-        self._sel_go = np.empty(K, dtype=bool)
-        self._push_idx = np.empty((self._depth + 1, K), dtype=np.int64)
-        # Event state for the incremental fit-mode bound finger.
-        self._k_prev = np.full(K, np.iinfo(np.int64).min, dtype=np.int64)
-        self._cp_touched = np.zeros(K, dtype=bool)
-        # Per-key scalar-state mirrors (sorted order).
-        self._L = np.zeros(K, dtype=np.int64)
-        self._h0 = np.zeros(K, dtype=np.int64)
-        self._rec_buf = np.zeros((K, self._Wa), dtype=np.float64)
-        self._rec_n = np.zeros(K, dtype=np.int64)
-        # Single write cursor: equals the scalar `_recent_n` while the ring
-        # is filling (head stays 0) and the scalar `_recent_pos` once full,
-        # so one modular increment replaces the scalar's two-field update.
-        self._rec_w = np.zeros(K, dtype=np.int64)
-        self._rho = np.zeros(K, dtype=np.float64)
-        self._ess_num = np.ones(K, dtype=np.float64)
-        self._ess_den = np.ones(K, dtype=np.float64)
-        self._upd = np.zeros(K, dtype=np.int64)
+        # Per-key q-dependent state, one row/entry per distinct q.
+        qs = sorted({c.q for c in cfgs})
+        q_row = {q: r for r, q in enumerate(qs)}
+        rows = [q_row[c.q] for c in cfgs]
+        self._qv = np.array([c.q for c in cfgs], dtype=np.float64)
+        self._mh = np.array([c.min_history() for c in cfgs], dtype=np.int64)
+        self._keep_base = np.maximum(self._Wd * self._decim, self._mh)
+        self._k_flat = np.concatenate(
+            [
+                np.array(
+                    binomial.index_table(cfg.side, q, cfg.c, T)[: T + 1],
+                    dtype=np.int64,
+                )
+                for q in qs
+            ]
+        )
+        self._koff = np.array(rows, dtype=np.int64) * (T + 1)
         if self._use_cp:
-            self._crit_up = BinomialRunDetector(
-                1.0 - self._q, self._Wd, cfg.cp_alpha
-            ).critical_hits
+            crit = [
+                BinomialRunDetector(1.0 - q, self._Wd, cfg.cp_alpha)
+                .critical_hits
+                for q in qs
+            ]
+            self._crit_up = np.array([crit[r] for r in rows], dtype=np.int64)
             self._crit_down = BinomialRunDetector(
                 self._cp_down_q, self._Wd, cfg.cp_alpha
             ).critical_hits
@@ -319,55 +252,126 @@ class UniverseFitter:
             self._dn_len = np.zeros(K, dtype=np.int64)
             self._dn_head = np.zeros(K, dtype=np.int64)
             self._dn_hits = np.zeros(K, dtype=np.int64)
-        table = binomial.index_table(cfg.side, cfg.q, cfg.c, T)
-        self._k_table = np.array(table[: T + 1], dtype=np.int64)
-        neg = -self._len_sorted
-        self._kact_arr = np.searchsorted(
-            neg, -np.arange(T, dtype=np.int64), side="left"
+        self._slots_limit = np.array(
+            [int(math.ceil(c.max_value / self._tick)) + 1 for c in cfgs],
+            dtype=np.int64,
         )
+        # Keys fitted from one price array (a trace at several levels)
+        # share its column: same memory, same size, same values.
+        cols: dict[tuple[int, int], int] = {}
+        self._pcol = np.array(
+            [
+                cols.setdefault(
+                    (self._series[k].ctypes.data, self._series[k].size),
+                    len(cols),
+                )
+                for k in order.tolist()
+            ],
+            dtype=np.int64,
+        )
+        self._prices_T = np.zeros((T, len(cols)), dtype=np.float64)
+        # Validate, then quantise per key. The walk reproduces the scalar
+        # tracker's exact error message for the first offending value.
+        for j, k in enumerate(order.tolist()):
+            x = self._series[k]
+            bad = np.flatnonzero((x < 0) | ~np.isfinite(x))
+            if bad.size:
+                v = float(x[bad[0]])
+                if v < 0:
+                    raise ValueError(f"values must be non-negative, got {v}")
+                raise ValueError(f"values must be finite, got {v}")
+            self._prices_T[: x.size, self._pcol[j]] = x
+        uniqs: list[np.ndarray] = []
+        ranks: list[np.ndarray] = []
+        for j, k in enumerate(order.tolist()):
+            x = self._series[k]
+            slots_f = np.ceil(x / self._tick - 1e-9)
+            # Domain-check on the float slots BEFORE the integer cast so
+            # an out-of-domain price cannot wrap around.
+            over = np.flatnonzero(slots_f >= self._slots_limit[j])
+            if over.size:
+                raise ValueError(
+                    f"value {float(x[over[0]])} exceeds tracker domain "
+                    f"(max {(self._slots_limit[j] - 1) * self._tick})"
+                )
+            u, r = np.unique(slots_f.astype(np.int64), return_inverse=True)
+            uniqs.append(u)
+            ranks.append(r.ravel())
+        # Two-level count table: key j owns blocks [boff_j, boff_j + nblk_j)
+        # of B slots each. nb_max spare blocks at the end keep every
+        # fixed-width gather in range.
+        U = np.array([u.size for u in uniqs], dtype=np.int64)
+        U_max = max(int(U.max()), 1)
+        shift = max(2, (U_max.bit_length() + 1) // 2)
+        B = 1 << shift
+        nblk = np.maximum((U + B - 1) >> shift, 1)
+        nb_max = int(nblk.max())
+        boff = np.zeros(K, dtype=np.int64)
+        np.cumsum(nblk[:-1], out=boff[1:])
+        n_slots = (int(nblk.sum()) + nb_max) << shift
+        self._U = U
+        self._shift = shift
+        self._boff = boff
+        self._off = boff << shift
+        self._nblk = nblk
+        self._blk_ar = np.arange(nb_max, dtype=np.int64)
+        self._slot_ar = np.arange(B, dtype=np.int64)
+        self._blocks = np.zeros(n_slots >> shift, dtype=np.int32)
+        self._counts = np.zeros(n_slots, dtype=np.int32)
+        self._uniq = np.zeros(n_slots, dtype=np.int64)
+        # Per-column flat count-table index of every key's observation
+        # (int32 halves the matrix; the sweep widens one row at a time).
+        idx_dtype = np.int32 if n_slots < 2**31 else np.int64
+        self._cidx_T = np.zeros((T, K), dtype=idx_dtype)
+        for j, (u, r) in enumerate(zip(uniqs, ranks)):
+            if u.size:
+                o = int(self._off[j])
+                self._uniq[o : o + u.size] = u
+                self._cidx_T[: r.size, j] = r + o
+        self._vals = self._uniq.astype(np.float64) * self._tick
+        self._ar = np.arange(K, dtype=np.int64)
+        # Per-key scalar-state mirrors (sorted order).
+        self._k_prev = np.full(K, _NO_K, dtype=np.int64)
+        self._L = np.zeros(K, dtype=np.int64)
+        self._h0 = np.zeros(K, dtype=np.int64)
+        # Recent rings on the shared column clock: column c lives in slot
+        # c % Wa; rec_start is the (virtual) column of the oldest entry
+        # since the key's last ring reset.
+        self._rec = np.zeros((K, self._Wa), dtype=np.float64)
+        self._rec_start = np.zeros(K, dtype=np.int64)
+        self._rho = np.zeros(K, dtype=np.float64)
+        self._ess_num = np.ones(K, dtype=np.float64)
+        self._ess_den = np.ones(K, dtype=np.float64)
+        # Column at which each key's autocorrelation refresh next fires.
+        self._due = np.full(K, self._refresh - 1, dtype=np.int64)
+        neg = -self._len_sorted
+        self._kact = np.searchsorted(
+            neg, -np.arange(T, dtype=np.int64), side="left"
+        ).tolist()
+        self._nbact = np.searchsorted(
+            neg[self._bpos], -np.arange(T, dtype=np.int64), side="left"
+        ).tolist()
 
     # -- lockstep kernels ----------------------------------------------------
 
     def _select(self, rows: np.ndarray, ranks: np.ndarray) -> np.ndarray:
         """``rank``-th smallest tracked value for each queried key.
 
-        One binary-search descent through all queried keys' segment trees in
-        lockstep; the returned floats are ``slot * tick``, exactly what
+        Two cumsum-and-count steps through the queried keys' count tables
+        in lockstep: the block holding the rank, then the slot inside it.
+        The returned floats are ``slot * tick``, exactly what
         ``QuantileTracker.kth_smallest`` produces.
         """
-        n = rows.size
-        node = self._sel_node[:n]
-        node[:] = 1
-        r = self._sel_r[:n]
-        r[:] = ranks
-        base = np.take(self._rows_base, rows, out=self._sel_base[:n])
-        ibuf = self._sel_idx[:n]
-        go = self._sel_go[:n]
-        tf = self._tree_flat
-        for _ in range(self._depth):
-            node <<= 1
-            np.add(base, node, out=ibuf)
-            left = tf[ibuf]
-            np.greater_equal(r, left, out=go)
-            np.subtract(r, left, out=r, where=go)
-            np.add(node, go, out=node)
-        leaf = node - self._S
-        # Clip protects ejected keys' garbage rows; live descents always
-        # land inside the alphabet.
-        np.minimum(leaf, self._leaf_cap[rows], out=leaf)
-        return self._uniq[rows, leaf].astype(np.float64) * self._tick
-
-    def _push(self, kact: int, comp_row: np.ndarray) -> None:
-        base = self._rows_base[:kact]
-        node = np.add(comp_row, self._S, dtype=np.int64)
-        # The root-to-leaf paths hit one node per level per key; levels
-        # occupy disjoint node ranges and keys disjoint rows, so the whole
-        # (levels, keys) index block has no duplicates and one fancy += is
-        # safe — and ~10x cheaper than a per-level loop.
-        idx = self._push_idx[:, :kact]
-        np.right_shift(node[None, :], self._level_shifts, out=idx)
-        idx += base[None, :]
-        self._tree_flat[idx] += 1
+        shift = self._shift
+        r = ranks[:, None]
+        boff = self._boff[rows]
+        bc = self._blocks[boff[:, None] + self._blk_ar]
+        before = bc.cumsum(axis=1) <= r
+        r = r - np.add.reduce(bc, axis=1, where=before, keepdims=True)
+        base = (boff + before.sum(axis=1)) << shift
+        sc = self._counts[base[:, None] + self._slot_ar]
+        base += (sc.cumsum(axis=1) <= r).sum(axis=1)
+        return self._vals[base]
 
     def _observe(self, kact, events, elen, ehead, ehits, hit, crit):
         """Vectorised ``BinomialRunDetector.observe`` across the prefix."""
@@ -385,121 +389,85 @@ class UniverseFitter:
         elen[:kact] = np.minimum(ln + 1, self._Wd)
         return (elen[:kact] == self._Wd) & (ehits[:kact] >= crit)
 
-    def _compute_bounds_incr(self, kact: int, v: np.ndarray) -> None:
-        """Event-driven bound maintenance for the fit-mode column sweep.
+    def _update_bounds(self, kact: int, v: np.ndarray) -> None:
+        """Event-driven bound maintenance for the column sweep.
 
         The bound is the k-th largest tracked value.  Pushing a value that
         is not strictly above the carried bound leaves the multiset's top-k
-        untouched, so the carried float is exactly what a fresh descent
-        would select.  A descent is therefore only needed for keys where
-        (a) the pushed value exceeded the carried bound, (b) the binomial
-        index k changed (L growth, ESS/rho refresh, or nan -> valid
-        transition), or (c) a change point rewrote the segment.
+        untouched, so the carried float is exactly what a fresh selection
+        would return.  A selection is therefore only needed for keys where
+        (a) the pushed value exceeded the carried bound, or (b) the
+        binomial index k changed (L growth, ESS/rho refresh, nan -> valid
+        transition, or a change point, which resets ``k_prev``).
         """
         La = self._L[:kact]
         if self._autocorr:
-            ne = (
-                (La.astype(np.float64) * self._ess_num[:kact])
-                / self._ess_den[:kact]
-            ).astype(np.int64)
-            np.maximum(ne, 1, out=ne)
-            floor_ = np.minimum(La, self._min_history)
-            np.maximum(ne, floor_, out=ne)
+            # int(n * num / den), floored at min(n, min_history); n >= 1
+            # after the push, so the scalar's max(n_eff, 1) is implied.
+            ne = La * self._ess_num[:kact]
+            ne /= self._ess_den[:kact]
+            ne = ne.astype(np.int64)
+            np.maximum(ne, np.minimum(La, self._mh[:kact]), out=ne)
         else:
             ne = La
-        k = self._k_table[ne]
+        k = self._k_flat[ne + self._koff[:kact]]
         events = k != self._k_prev[:kact]
-        events |= self._cp_touched[:kact]
         events |= v > self._bound[:kact]
         self._k_prev[:kact] = k
-        rows = np.flatnonzero(events)
+        rows = events.nonzero()[0]
         if rows.size:
-            self._cp_touched[rows] = False
             kr = k[rows]
-            Lr = La[rows]
-            ok = (kr >= 0) & (Lr > 0)
-            bad = rows[~ok]
-            if bad.size:
-                self._bound[bad] = np.nan
+            ok = kr >= 0
+            self._bound[rows[~ok]] = np.nan
             sel = rows[ok]
             if sel.size:
-                self._bound[sel] = self._select(sel, Lr[ok] - 1 - kr[ok])
-
-    def _compute_bounds(self, kact: int) -> None:
-        """Mirror ``QBETS._recompute_bound`` for the whole active prefix."""
-        La = self._L[:kact]
-        if self._autocorr:
-            ne = (
-                (La.astype(np.float64) * self._ess_num[:kact])
-                / self._ess_den[:kact]
-            ).astype(np.int64)
-            np.maximum(ne, 1, out=ne)
-            floor_ = np.minimum(La, self._min_history)
-            np.maximum(ne, floor_, out=ne)
-        else:
-            ne = La
-        k = self._k_table[ne]
-        self._bound[:kact] = np.nan
-        valid = np.flatnonzero((k >= 0) & (La > 0))
-        if valid.size:
-            # kth_largest(k) over L samples is rank L - 1 - k from below.
-            self._bound[valid] = self._select(valid, La[valid] - 1 - k[valid])
+                # kth_largest(k) over L samples is rank L - 1 - k from below.
+                self._bound[sel] = self._select(sel, La[sel] - 1 - kr[ok])
 
     # -- the column sweep ----------------------------------------------------
 
     def _run(self) -> None:
         T = self._T
-        need_bounds = self._need_bounds
-        prices_T, comp_T = self._prices_T, self._comp_T
-        out_T, bound = self._out_T, self._bound
-        L = self._L
-        rec_buf, rec_n, rec_w = self._rec_buf, self._rec_n, self._rec_w
-        Wa = self._Wa
-        decim, use_cp = self._decim, self._use_cp
-        kact_arr = self._kact_arr
-        ar = self._ar
+        prices_T, cidx_T = self._prices_T, self._cidx_T
+        out_T, bound, bpos, bcol = (
+            self._out_T, self._bound, self._bpos, self._bcol
+        )
+        counts, blocks, shift = self._counts, self._blocks, self._shift
+        L, rec, Wa = self._L, self._rec, self._Wa
+        decim, use_cp, autocorr = self._decim, self._use_cp, self._autocorr
+        due, pcol = self._due, self._pcol
         len_sorted = self._len_sorted
         for i in range(T):
-            kact = int(kact_arr[i])
-            v = prices_T[i, :kact]
-            if need_bounds:
-                out_T[i, :kact] = bound[:kact]
+            kact = self._kact[i]
+            v = prices_T[i].take(pcol[:kact])
+            nb = self._nbact[i]
+            if nb:
+                np.take(bound, bpos[:nb], out=out_T[i, :nb])
             for j in self._eject_at.pop(i, ()):
                 if not self._ejected_mask[j]:
                     self._eject(j, i)
             if self._ejected:
                 for j, qb in self._ejected.items():
                     if i < len_sorted[j]:
-                        if need_bounds:
-                            out_T[i, j] = qb._bound
-                            qb.update(float(prices_T[i, j]))
-                        else:
-                            qb.update(float(prices_T[i, j]), need_bound=False)
+                        if bcol[j] >= 0:
+                            out_T[i, bcol[j]] = qb._bound
+                        qb.update(float(prices_T[i, pcol[j]]))
             feed = use_cp and (i + 1) % decim == 0
             if feed:
-                if not need_bounds and i > 0:
-                    # Scan mode: the detector sees the exact bound in
-                    # effect, recomputed on demand from pre-push state —
-                    # identical to the value fit mode carried over.
-                    self._compute_bounds(kact)
-                b = bound[:kact]
-                with np.errstate(invalid="ignore"):
-                    exceeded = ~np.isnan(b) & (v > b)
+                exceeded = v > bound[:kact]
                 below = np.zeros(kact, dtype=bool)
-                big = np.flatnonzero(L[:kact] >= 16)
+                big = (L[:kact] >= 16).nonzero()[0]
                 if big.size:
                     kl = (
                         np.ceil(self._cp_down_q * L[big]).astype(np.int64) - 1
                     )
                     np.maximum(kl, 0, out=kl)
                     below[big] = v[big] < self._select(big, kl)
-            self._push(kact, comp_T[i, :kact])
+            f = cidx_T[i, :kact].astype(np.intp)
+            counts[f] += 1
+            blocks[f >> shift] += 1
             L[:kact] += 1
-            w = rec_w[:kact]
-            rec_buf[ar[:kact], w] = v
-            w += 1
-            w[w == Wa] = 0
-            np.minimum(rec_n[:kact] + 1, Wa, out=rec_n[:kact])
+            rec[:kact, i % Wa] = v
             if feed:
                 fired_up = self._observe(
                     kact,
@@ -508,7 +476,7 @@ class UniverseFitter:
                     self._up_head,
                     self._up_hits,
                     exceeded,
-                    self._crit_up,
+                    self._crit_up[:kact],
                 )
                 fired_dn = self._observe(
                     kact,
@@ -521,7 +489,7 @@ class UniverseFitter:
                 )
                 fired = fired_up | fired_dn
                 if fired.any():
-                    idxs = np.flatnonzero(fired)
+                    idxs = fired.nonzero()[0]
                     for name in ("_up", "_dn"):
                         getattr(self, name + "_len")[idxs] = 0
                         getattr(self, name + "_head")[idxs] = 0
@@ -531,200 +499,158 @@ class UniverseFitter:
                             self._handle_changepoint(
                                 j, i, bool(fired_dn[j] and not fired_up[j])
                             )
-            if self._autocorr:
-                self._refresh_rho_col(kact)
-            if need_bounds:
-                self._compute_bounds_incr(kact, v)
-        if not need_bounds:
-            # Preserve the stale per-state bound values (what a scalar
-            # scan's `state_dict` would capture), then refresh `_bound`
-            # into the `qb.bound` property's fresh recompute.
-            self._scan_final[:] = self._bound
-            self._compute_bounds(self._K)
+            if autocorr:
+                ready = (due[:kact] == i).nonzero()[0]
+                if ready.size:
+                    self._refresh_rho(i, ready)
+            self._update_bounds(kact, v)
 
-    def _refresh_rho_col(self, kact: int) -> None:
-        upd = self._upd
-        upd[:kact] += 1
-        ready = np.flatnonzero(upd[:kact] >= self._refresh)
-        if ready.size == 0:
-            return
-        upd[ready] = 0
-        zero = (self._rec_n[ready] < 8) | (self._L[ready] < 4)
-        zrows = ready[zero]
-        if zrows.size:
-            self._rho[zrows] = 0.0
-            self._ess_num[zrows] = 1.0
-            self._ess_den[zrows] = 1.0
-        live = ready[~zero]
-        if live.size == 0:
-            return
-        Ll = self._L[live]
-        idx = np.ceil(self._q * Ll).astype(np.int64) - 1
-        np.maximum(idx, 0, out=idx)
-        np.minimum(idx, Ll - 1, out=idx)
-        thr = self._select(live, idx)
-        rec_buf, rec_n, rec_w = self._rec_buf, self._rec_n, self._rec_w
+    def _refresh_rho(self, i: int, ready: np.ndarray) -> None:
+        """Mirror ``QBETS._refresh_rho`` for the keys whose clock fired."""
+        self._due[ready] = i + self._refresh
         Wa = self._Wa
-        ejected_mask = self._ejected_mask
-        dot = np.dot
-        # Bit-identical fast path for lag1_autocorr on a 0/1 indicator
-        # vector: the vector's sum is an exact small integer, so its mean
-        # is exact under any summation order, and the centered values take
-        # only the two exact floats (1 - m) and (0 - m).  The two BLAS
-        # dots — the only rounding-sensitive reductions — are performed
-        # with the same np.dot call on contiguous float64 rows laid out
-        # exactly as the scalar path builds them.
-        full_sel = (rec_n[live] == Wa) & ~ejected_mask[live] & self._exact_lag1
-        full = live[full_sel]
-        if full.size:
-            # All full rings at once, no BLAS at all.  With Wa a power of
-            # two, m = hits/Wa is exact, the two centered values (1 - m)
-            # and (0 - m) are exact, every pairwise product is an integer
-            # multiple of 1/Wa^2, and every partial sum stays well under
-            # 2^53 — so ANY summation order (including BLAS ddot) returns
-            # the mathematically exact value.  Computing that exact value
-            # from the closed form below is therefore bit-identical to the
-            # scalar path's np.dot calls, and needs only pair counts —
-            # which we read straight off the ring in *buffer* order: the
-            # chronological adjacencies are the circular adjacencies minus
-            # the one seam pair that straddles the write cursor.
-            # full is strictly increasing, so spanning 0..size-1 means it
-            # is exactly the active prefix — slice instead of row-gather.
-            if int(full[0]) == 0 and int(full[-1]) == full.size - 1:
-                buf = rec_buf[: full.size]
-            else:
-                buf = rec_buf[full]
-            ind = buf > thr[full_sel][:, None]
-            cnt = np.count_nonzero(ind, axis=1).astype(np.float64)
-            m = cnt / Wa
-            a = 1.0 - m
-            b = 0.0 - m
-            lo, hi = ind[:, :-1], ind[:, 1:]
-            rows = np.arange(full.size)
-            w_ = rec_w[full]
-            seam_hi = ind[rows, w_]
-            seam_lo = ind[rows, (w_ - 1) % Wa]
-            wrap_hi, wrap_lo = ind[:, 0], ind[:, -1]
-            # Two reductions cover all three pair counts: n11 directly,
-            # n01 as the number of 0/1 transitions (XOR), n00 by remainder.
-            n11 = (
-                np.count_nonzero(lo & hi, axis=1)
-                + (wrap_lo & wrap_hi)
-                - (seam_lo & seam_hi)
-            ).astype(np.float64)
-            n01 = (
-                np.count_nonzero(lo ^ hi, axis=1)
-                + (wrap_lo ^ wrap_hi)
-                - (seam_lo ^ seam_hi)
-            ).astype(np.float64)
-            n00 = (Wa - 1) - n11 - n01
-            denom = cnt * (a * a) + (Wa - cnt) * (b * b)
-            num = n11 * (a * a) + n01 * (a * b) + n00 * (b * b)
-            pos = denom > 0.0
-            rho = np.zeros(full.size)
-            np.divide(num, denom, out=rho, where=pos)
-            self._rho[full] = rho
-            r = np.clip(rho, 0.0, 0.99)
-            self._ess_num[full] = 1.0 - r
-            self._ess_den[full] = 1.0 + r
-        rest = live[~full_sel]
-        for t, j in zip(np.flatnonzero(~full_sel).tolist(), rest.tolist()):
-            if ejected_mask[j]:
-                continue
-            n = int(rec_n[j])
-            if n < Wa:
-                view = rec_buf[j, :n]
-            else:
-                p = int(rec_w[j])
-                if p == 0:
-                    view = rec_buf[j]
-                else:
-                    view = np.concatenate((rec_buf[j, p:], rec_buf[j, :p]))
-            ind = view > thr[t]
-            m = np.count_nonzero(ind) / n
-            centered = np.where(ind, 1.0 - m, 0.0 - m)
-            denom = float(dot(centered, centered))
-            if denom <= 0.0:
-                rho = 0.0
-            else:
-                rho = float(dot(centered[:-1], centered[1:])) / denom
-            self._rho[j] = rho
-            r = min(max(rho, 0.0), 0.99)
-            self._ess_num[j] = 1.0 - r
-            self._ess_den[j] = 1.0 + r
+        # Observations since each key's last ring reset. A reset keeps at
+        # least the ring's contents in the tracker, so L >= seen and the
+        # scalar's "recent < 8 or n < 4" test reduces to seen < 8.
+        seen = i + 1 - self._rec_start[ready]
+        if self._exact_lag1 and seen.min() >= Wa:
+            self._set_rho(ready, self._full_ring_rho(i, ready))
+            return
+        # Warm-up rings (and non-power-of-two windows): the scalar
+        # lag1_autocorr, key by key, on the chronological ring contents.
+        rho = np.zeros(ready.size)
+        live = (seen >= 8).nonzero()[0]
+        if live.size:
+            thr = self._thresholds(ready[live])
+            for t, pos in enumerate(live.tolist()):
+                j = int(ready[pos])
+                n = min(int(seen[pos]), Wa)
+                # The last n columns, oldest first.
+                ring = np.arange(i + 1 - n, i + 1) % Wa
+                ind = self._rec[j, ring] > thr[t]
+                m = np.count_nonzero(ind) / n
+                centered = np.where(ind, 1.0 - m, 0.0 - m)
+                denom = float(np.dot(centered, centered))
+                if denom > 0.0:
+                    rho[pos] = float(np.dot(centered[:-1], centered[1:])) / denom
+        self._set_rho(ready, rho)
+
+    def _thresholds(self, rows: np.ndarray) -> np.ndarray:
+        """Each key's empirical ``q``-quantile: the exceedance threshold."""
+        Lr = self._L[rows]
+        idx = np.ceil(self._qv[rows] * Lr).astype(np.int64)
+        idx -= 1
+        np.maximum(idx, 0, out=idx)
+        np.minimum(idx, Lr - 1, out=idx)
+        return self._select(rows, idx)
+
+    def _full_ring_rho(self, i: int, rows: np.ndarray) -> np.ndarray:
+        """Exact lag-1 autocorrelation of full exceedance rings.
+
+        With Wa a power of two, m = c/Wa and both centered values of the
+        0/1 indicator are exact, so the scalar path's two np.dot calls
+        return exactly num/Wa^2 and den/Wa^2 for the integers below, and
+        num/den is the same correctly rounded quotient. Expanding the
+        centered products over c (ones), n11 (chronologically adjacent 1-1
+        pairs) and e (ones among the two chronological endpoints) gives
+
+            num = Wa^2 n11 + Wa c e - (Wa + 1) c^2,   den = Wa c (Wa - c).
+
+        Every full ring shares one rotation: slot s = (i + 1) % Wa holds the
+        oldest entry, so the chronological pairs are the circular ones
+        minus the (s - 1, s) seam.
+        """
+        Wa = self._Wa
+        ind = self._rec[rows] > self._thresholds(rows)[:, None]
+        c = ind.sum(axis=1)
+        n11 = (ind[:, :-1] & ind[:, 1:]).sum(axis=1)
+        s = (i + 1) % Wa
+        first, last = ind[:, s], ind[:, s - 1]
+        if s:
+            n11 += ind[:, -1] & ind[:, 0]
+            n11 -= first & last
+        e = np.add(first, last, dtype=np.int64)
+        num = n11 * (Wa * Wa) + c * (Wa * e - (Wa + 1) * c)
+        den = c * (Wa - c) * Wa
+        rho = np.zeros(rows.size)
+        np.divide(num, den, out=rho, where=den > 0)
+        return rho
+
+    def _set_rho(self, rows: np.ndarray, rho: np.ndarray) -> None:
+        """``QBETS._set_rho``: store rho and its clamped ESS factors."""
+        self._rho[rows] = rho
+        r = np.minimum(np.maximum(rho, 0.0), 0.99)
+        self._ess_num[rows] = 1.0 - r
+        self._ess_den[rows] = 1.0 + r
 
     # -- change points and ejection ------------------------------------------
 
     def _handle_changepoint(self, j: int, i: int, down: bool) -> None:
-        """Python mirror of ``QBETS.update``'s change-point branch.
+        """Mirror of ``QBETS.update``'s change-point branch for key ``j``.
 
-        Rewrites key ``j``'s history segment in place (slots + compressed
-        ranks), rebuilds its tree row bottom-up, and resets its recent ring
-        and autocorrelation state — all with the same Python-float
-        arithmetic the scalar branch uses, so the post-change state is
-        bit-identical.
+        Rewrites the key's history segment in place (count-table indices),
+        rebuilds its count-table row with one ``bincount``, and resets its
+        recent ring and autocorrelation state. The kept values are the
+        tracker's ``slot * tick`` floats and every comparison, sort and
+        re-quantisation is the scalar branch's, element for element, so the
+        post-change state is bit-identical.
         """
         self._cps[j].append(i + 1)
-        self._cp_touched[j] = True
-        tick = self._tick
-        keep = min(self._keep_base, int(self._L[j]))
+        self._k_prev[j] = _NO_K
         seg_end = i + 1
-        kept_slots = self._slots_T[seg_end - keep : seg_end, j].tolist()
-        kept = [s * tick for s in kept_slots]
-        u = self._uniq[j, : self._U[j]]
-        if down and len(kept) >= 8:
-            ceiling = max(kept[-(len(kept) // 4) :])
-            filtered = [x for x in kept if x <= ceiling]
-            if len(filtered) < self._min_history:
-                removed = sorted(x for x in kept if x > ceiling)
-                pad = removed[: self._min_history - len(filtered)]
-                filtered = pad + filtered
+        keep = min(int(self._keep_base[j]), int(self._L[j]))
+        off = int(self._off[j])
+        kept = self._vals[self._cidx_T[seg_end - keep : seg_end, j]]
+        if down and kept.size >= 8:
+            # Winsorise: drop values above the newest quarter's maximum,
+            # padding back to min_history with the smallest dropped ones.
+            ceiling = kept[-(kept.size // 4) :].max()
+            high = kept > ceiling
+            filtered = kept[~high]
+            short = int(self._mh[j]) - filtered.size
+            if short > 0:
+                filtered = np.concatenate((np.sort(kept[high])[:short], filtered))
             kept = filtered
+            slots = np.ceil(kept / self._tick - 1e-9)
             limit = int(self._slots_limit[j])
-            new_slots = []
-            for x in kept:
-                slot = int(math.ceil(x / tick - 1e-9))
-                if slot >= limit:
-                    raise ValueError(
-                        f"value {x} exceeds tracker domain "
-                        f"(max {(limit - 1) * tick})"
-                    )
-                new_slots.append(slot)
-            pos = np.searchsorted(u, new_slots)
-            safe = np.minimum(pos, u.size - 1)
-            if np.any(pos >= u.size) or np.any(u[safe] != new_slots):
+            over = (slots >= limit).nonzero()[0]
+            if over.size:
+                raise ValueError(
+                    f"value {float(kept[over[0]])} exceeds tracker domain "
+                    f"(max {(limit - 1) * self._tick})"
+                )
+            slots = slots.astype(np.int64)
+            alphabet = self._uniq[off : off + int(self._U[j])]
+            pos = np.searchsorted(alphabet, slots)
+            if (pos >= alphabet.size).any() or (
+                alphabet[np.minimum(pos, alphabet.size - 1)] != slots
+            ).any():
                 # Winsorisation re-quantised to a slot outside the key's
                 # compressed alphabet (needs price values beyond ~$2e5 at
                 # the default tick): hand the key to the scalar reference.
                 self._eject(j, seg_end)
                 return
-            kept_slots = new_slots
-            h = seg_end - len(kept_slots)
-            self._slots_T[h:seg_end, j] = kept_slots
-            self._comp_T[h:seg_end, j] = pos
-        else:
-            h = seg_end - len(kept_slots)
+            self._cidx_T[seg_end - kept.size : seg_end, j] = pos + off
+        h = seg_end - kept.size
         self._h0[j] = h
-        self._L[j] = len(kept_slots)
-        S = self._S
-        row = self._tree[j]
-        row[:] = 0
-        row[S:] = np.bincount(self._comp_T[h:seg_end, j], minlength=S)
-        lo = S >> 1
-        while lo >= 1:
-            row[lo : 2 * lo] = (
-                row[2 * lo : 4 * lo : 2] + row[2 * lo + 1 : 4 * lo : 2]
-            )
-            lo >>= 1
-        tail = kept[-self._Wa :] if len(kept) > self._Wa else kept
-        self._rec_n[j] = len(tail)
-        self._rec_w[j] = len(tail) % self._Wa
-        if tail:
-            self._rec_buf[j, : len(tail)] = tail
+        self._L[j] = kept.size
+        width = int(self._nblk[j]) << self._shift
+        row = np.bincount(self._cidx_T[h:seg_end, j] - off, minlength=width)
+        self._counts[off : off + width] = row
+        b0 = int(self._boff[j])
+        self._blocks[b0 : b0 + int(self._nblk[j])] = row.reshape(
+            -1, 1 << self._shift
+        ).sum(axis=1)
+        tail = kept[-self._Wa :]
+        start = seg_end - tail.size
+        self._rec_start[j] = start
+        self._rec[j, np.arange(start, seg_end) % self._Wa] = tail
         self._rho[j] = 0.0
         self._ess_num[j] = 1.0
         self._ess_den[j] = 1.0
-        self._upd[j] = 0
+        # updates_since_rho restarts at 0 and this column's refresh step
+        # counts it to 1.
+        self._due[j] = i + self._refresh - 1
 
     def _eject(self, j: int, upto: int) -> None:
         """Replay key ``j``'s first ``upto`` observations through scalar QBETS.
@@ -735,23 +661,20 @@ class UniverseFitter:
         """
         k = self._order[j]
         qb = QBETS(self._cfg_for[k])
-        x = self._prices_T[:upto, j]
-        if self._need_bounds:
-            self._out_T[:upto, j] = qb.bound_series(x)
-        else:
-            qb.scan(x)
+        bounds = qb.bound_series(self._prices_T[:upto, self._pcol[j]])
+        if self._bcol[j] >= 0:
+            self._out_T[:upto, self._bcol[j]] = bounds
         self._ejected[j] = qb
         self._ejected_mask[j] = True
+        self._due[j] = -1
 
     def _run_fallback(self) -> None:
         for j, k in enumerate(self._order.tolist()):
             qb = QBETS(self._cfg_for[k])
             x = self._series[k]
-            if self._need_bounds:
-                if x.size:
-                    self._out_T[: x.size, j] = qb.bound_series(x)
-            else:
-                qb.scan(x)
+            bounds = qb.bound_series(x)
+            if self._bcol[j] >= 0:
+                self._out_T[: x.size, self._bcol[j]] = bounds
             self._ejected[j] = qb
             self._ejected_mask[j] = True
 
@@ -790,12 +713,13 @@ class UniverseFitResult:
     def bounds(self, k: int) -> np.ndarray:
         """Per-announcement bound series (``QBETS.bound_series`` parity)."""
         f = self._f
-        if f._out_T is None:
-            if f._lengths[k] == 0:
-                return np.empty(0, dtype=np.float64)
-            raise ValueError("bounds were not materialised (scan mode)")
-        j = int(f._inv[k])
-        return f._out_T[: f._lengths[k], j].copy()
+        col = int(f._bcol[f._inv[k]])
+        if col < 0:
+            raise ValueError(
+                f"key {k} is segmentation-only: its bound series was not "
+                "stored (store_bounds=False)"
+            )
+        return f._out_T[: f._lengths[k], col].copy()
 
     def final_bound(self, k: int) -> float:
         """Bound after the last observation (the ``qb.bound`` property)."""
@@ -826,18 +750,21 @@ class UniverseFitResult:
             return f._ejected[j].state_dict()
         cfg = f._cfg_for[k]
         T_k = int(f._lengths[k])
+        Wa = f._Wa
+        # Scalar ring layout: item t since the last reset sits in slot
+        # t % Wa, the write cursor moves only once the ring is full.
+        seen = T_k - int(f._rec_start[j])
+        ring = (int(f._rec_start[j]) + np.arange(min(seen, Wa))) % Wa
         state = {
-            "tracker": f._slots_T[f._h0[j] : T_k, j].astype(np.int64),
-            "recent": f._rec_buf[j, : f._rec_n[j]].copy(),
-            "recent_pos": int(
-                f._rec_w[j] if f._rec_n[j] == f._Wa else 0
-            ),
+            "tracker": f._uniq[f._cidx_T[f._h0[j] : T_k, j].astype(np.intp)],
+            "recent": f._rec[j, ring],
+            "recent_pos": seen % Wa if seen >= Wa else 0,
             "rho": float(f._rho[j]),
-            "updates_since_rho": int(f._upd[j]),
-            "bound": float(
-                f._bound[j] if f._need_bounds else f._scan_final[j]
+            "updates_since_rho": (
+                f._refresh - int(f._due[j]) + T_k - 1 if cfg.autocorr else 0
             ),
-            "bound_stale": bool(not f._need_bounds and T_k > 0),
+            "bound": float(f._bound[j]),
+            "bound_stale": False,
             "changepoints": list(f._cps[j]),
             "n_seen": T_k,
         }
@@ -874,7 +801,7 @@ def fit_universe(
     series: Sequence[np.ndarray],
     configs: QBETSConfig | Sequence[QBETSConfig],
     *,
-    need_bounds: bool = True,
+    store_bounds: Sequence[bool] | None = None,
     eject_after: dict[int, int] | None = None,
 ) -> UniverseFitResult:
     """Batch phase-1 fit: per-key bound series + change points + final state.
@@ -883,21 +810,8 @@ def fit_universe(
     in one SoA pass over the whole universe. See :class:`UniverseFitter`.
     """
     return UniverseFitter(
-        series, configs, need_bounds=need_bounds, eject_after=eject_after
+        series, configs, store_bounds=store_bounds, eject_after=eject_after
     ).result()
-
-
-def scan_universe(
-    series: Sequence[np.ndarray],
-    configs: QBETSConfig | Sequence[QBETSConfig],
-) -> UniverseFitResult:
-    """Batch counterpart of ``QBETS.scan``: change points without bounds.
-
-    The AR(1) baseline consumes only the change-point segmentation; this
-    skips the per-column order-statistic selection exactly as the scalar
-    scan does.
-    """
-    return UniverseFitter(series, configs, need_bounds=False).result()
 
 
 class _LazyDurationLadder:
@@ -939,13 +853,15 @@ class DraftsUniverseFit:
     path (``DraftsPredictor.from_phase1`` with a lazy ladder),
     ``online_snapshot(k)`` for the serving tier
     (``OnlineDraftsPredictor.from_snapshot``), and ``bounds``/
-    ``final_bound``/``levels`` for the ticker's frozen ``add_key``.
+    ``final_bound``/``levels`` for the ticker's frozen ``add_key``. A
+    segmentation-only key (fitted from a bare :class:`QBETSConfig`) has
+    ``changepoints``, ``final_bound`` and ``qbets_state`` only.
     """
 
     def __init__(
         self,
         traces: Sequence,
-        configs: Sequence[DraftsConfig],
+        configs: Sequence[DraftsConfig | QBETSConfig],
         results: list[tuple[UniverseFitResult, int]],
     ) -> None:
         self._traces = list(traces)
@@ -959,7 +875,7 @@ class DraftsUniverseFit:
     def trace(self, k: int):
         return self._traces[k]
 
-    def config(self, k: int) -> DraftsConfig:
+    def config(self, k: int) -> DraftsConfig | QBETSConfig:
         return self._configs[k]
 
     def bounds(self, k: int) -> np.ndarray:
@@ -1046,16 +962,20 @@ class DraftsUniverseFit:
 
 def fit_drafts_universe(
     traces: Sequence,
-    configs: DraftsConfig | Sequence[DraftsConfig],
+    configs: DraftsConfig | Sequence[DraftsConfig | QBETSConfig],
     *,
     eject_after: dict[int, int] | None = None,
 ) -> DraftsUniverseFit:
     """Batch the DrAFTS phase-1 fit for a whole universe of traces.
 
-    ``configs`` is one shared :class:`DraftsConfig` or one per trace. Keys
-    whose QBETS configurations differ beyond ``max_value`` (e.g. mixed
-    target probabilities) are grouped and fitted in one batch pass per
-    group, so callers need not pre-partition.
+    ``configs`` is one shared :class:`DraftsConfig` or one per trace. A
+    per-trace entry may also be a bare :class:`QBETSConfig`: that key is
+    *segmentation-only* — it rides the same pass for its change points,
+    final bound and QBETS state (what the AR(1) baseline consumes) but
+    stores no bound series and has no ladder or predictor. Keys are grouped
+    by the QBETS fields one lockstep pass must share (everything except
+    ``q`` and ``max_value``), so mixed probability levels, ladder domains
+    and segmentation keys fit in one pass.
     """
     n = len(traces)
     if isinstance(configs, DraftsConfig):
@@ -1064,10 +984,13 @@ def fit_drafts_universe(
         cfg_list = list(configs)
     if len(cfg_list) != n:
         raise ValueError(f"{len(cfg_list)} configs for {n} traces")
-    qcfgs = [c.qbets_config() for c in cfg_list]
+    qcfgs = [
+        c if isinstance(c, QBETSConfig) else c.qbets_config()
+        for c in cfg_list
+    ]
     groups: dict[QBETSConfig, list[int]] = {}
     for idx, qc in enumerate(qcfgs):
-        groups.setdefault(replace(qc, max_value=1.0), []).append(idx)
+        groups.setdefault(_lockstep_fields(qc), []).append(idx)
     results: list[tuple[UniverseFitResult, int] | None] = [None] * n
     for members in groups.values():
         ejects = None
@@ -1080,6 +1003,9 @@ def fit_drafts_universe(
         res = fit_universe(
             [traces[k].prices for k in members],
             [qcfgs[k] for k in members],
+            store_bounds=[
+                not isinstance(cfg_list[k], QBETSConfig) for k in members
+            ],
             eject_after=ejects,
         )
         for pos, k in enumerate(members):

@@ -3,14 +3,15 @@
 The full §4.1 protocol — 452 combinations x 4 strategies x 300 requests —
 is embarrassingly parallel, and every input is a pure function of the
 universe seed, so worker processes simply rebuild the (cached) universe and
-pick their assignment by key.
+pick their assignment by key. The sequential run (``workers=0``) is the
+same code with one chunk.
 
 Work is decomposed *combo-major*: one assignment is a chunk of
 combinations with every strategy, not one (combination, strategy) cell. A
-worker that owns a chunk generates each trace once and fits phase 1 once
-(the DrAFTS predictor lands in :mod:`repro.backtest.predcache`, whose
-per-process cache the AR(1) and empirical cells then run alongside), and
-answers all of the chunk's DrAFTS bids through one frozen-key
+worker that owns a chunk generates each trace once and fits phase 1 once —
+DrAFTS bounds and AR(1) segmentation in one lockstep pass, landing in
+:mod:`repro.backtest.predcache` and the AR(1) prefit cache — and answers
+all of the chunk's DrAFTS bids through one frozen-key
 :class:`~repro.core.universe.UniverseTicker` replay, so the epoch walk
 amortises across the whole chunk instead of re-scanning duration matrices
 per query.
@@ -46,32 +47,32 @@ class _Assignment:
 def _run_assignment(assignment: _Assignment) -> list[ComboResult]:
     """Worker entry: rebuild the (process-cached) universe, run one chunk.
 
-    DrAFTS bids for the whole chunk come from one frozen-key universe
-    replay (:func:`repro.backtest.universe_driver.drafts_bids`) — the
-    epoch walk amortises across the chunk — and drop into
-    :func:`run_backtest` per combination; the other strategies run their
-    own ``bid_at_many`` as before. Results are bit-identical either way.
+    Phase 1 for the whole chunk is one lockstep pass
+    (:func:`repro.backtest.universe_driver.prefit_phase1`): the DrAFTS
+    price bounds and the AR(1) change-point segmentation ride together and
+    land in the predictor and AR(1) prefit caches. DrAFTS bids for the
+    chunk then come from one frozen-key universe replay
+    (:func:`repro.backtest.universe_driver.drafts_bids`) — the epoch walk
+    amortises across the chunk — and drop into :func:`run_backtest` per
+    combination; the other strategies run their own ``bid_at_many``, the
+    AR(1) cells on cached segmentations. Results are bit-identical either
+    way.
     """
-    from repro.backtest.universe_driver import drafts_bids
+    from repro.backtest.universe_driver import drafts_bids, prefit_phase1
 
     universe = scaled_universe(assignment.scale)
     combos = [
         universe.combo(*key.split("@")) for key in assignment.combo_keys
     ]
     config = SCALES[assignment.scale].backtest_config(assignment.probability)
-    drafts = (
-        drafts_bids(universe, combos, config)
-        if "drafts" in assignment.strategy_names
-        else {}
+    names = assignment.strategy_names
+    prefit_phase1(
+        [universe.trace(c) for c in combos],
+        assignment.probability,
+        drafts="drafts" in names,
+        ar1="ar1" in names,
     )
-    if "ar1" in assignment.strategy_names:
-        # One SoA change-point scan for the chunk; per-cell AR(1)
-        # construction then hits the prefit cache.
-        from repro.baselines.ar1 import AR1Bid
-
-        AR1Bid.prefit_universe(
-            [universe.trace(c) for c in combos], assignment.probability
-        )
+    drafts = drafts_bids(universe, combos, config) if "drafts" in names else {}
     return [
         run_backtest(
             universe,
@@ -81,7 +82,7 @@ def _run_assignment(assignment: _Assignment) -> list[ComboResult]:
             bids=drafts.get(combo.key) if name == "drafts" else None,
         )
         for combo in combos
-        for name in assignment.strategy_names
+        for name in names
     ]
 
 
@@ -99,7 +100,7 @@ def backtest_matrix(
     returned in a stable order (combination key, then strategy).
     """
     if scale not in SCALES:
-        raise KeyError(f"unknown scale {scale!r}")
+        raise KeyError(f"unknown scale {scale!r}; choose from {sorted(SCALES)}")
     for strategy in strategies:
         if strategy.name not in _STRATEGY_BY_NAME:
             raise KeyError(

@@ -13,9 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.backtest.correctness import CorrectnessTable, correctness_table
-from repro.backtest.engine import ComboResult, run_backtest
+from repro.backtest.engine import ComboResult
 from repro.baselines import TABLE1_STRATEGIES
-from repro.experiments.common import SCALES, scaled_combos, scaled_universe
+from repro.experiments.parallel import backtest_matrix
 from repro.util.tables import format_table
 
 __all__ = ["Table1Result", "run_table1"]
@@ -58,57 +58,15 @@ def run_table1(
     """Run the Table 1 backtest at the given scale.
 
     ``workers >= 1`` fans the (combination x strategy) matrix out over
-    worker processes — intended for ``--scale paper`` runs.
+    worker processes — intended for ``--scale paper`` runs; ``workers=0``
+    runs the same driver as one in-process chunk.
     """
-    if scale not in SCALES:
-        raise KeyError(f"unknown scale {scale!r}; choose from {sorted(SCALES)}")
-    if workers > 0:
-        from repro.experiments.parallel import backtest_matrix
-
-        results = backtest_matrix(
-            scale=scale,
-            probability=probability,
-            strategies=strategies,
-            workers=workers,
-        )
-        return Table1Result(
-            probability=probability,
-            scale=scale,
-            table=correctness_table(results, probability),
-            results=tuple(results),
-        )
-    universe = scaled_universe(scale)
-    combos = scaled_combos(scale)
-    config = SCALES[scale].backtest_config(probability)
-    drafts: dict = {}
-    if any(s.name == "drafts" for s in strategies):
-        from repro.backtest.universe_driver import drafts_bids
-
-        drafts = drafts_bids(universe, list(combos), config)
-    if any(s.name == "ar1" for s in strategies):
-        # Batch-scan the AR(1) change points universe-wide so each cell's
-        # constructor is a cache lookup instead of a scalar QBETS replay.
-        from repro.baselines.ar1 import AR1Bid
-
-        AR1Bid.prefit_universe(
-            [universe.trace(c) for c in combos], probability
-        )
-    results: list[ComboResult] = []
-    for combo in combos:
-        for strategy_cls in strategies:
-            results.append(
-                run_backtest(
-                    universe,
-                    combo,
-                    strategy_cls,
-                    config,
-                    bids=(
-                        drafts.get(combo.key)
-                        if strategy_cls.name == "drafts"
-                        else None
-                    ),
-                )
-            )
+    results = backtest_matrix(
+        scale=scale,
+        probability=probability,
+        strategies=strategies,
+        workers=workers,
+    )
     return Table1Result(
         probability=probability,
         scale=scale,

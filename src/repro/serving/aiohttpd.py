@@ -445,6 +445,10 @@ class AsyncGatewayHTTPServer:
             self._shed(sock)
             return
         sock.setblocking(False)  # greedy accept() returns blocking sockets
+        # The listener is created with proto 0, so asyncio's own
+        # TCP_NODELAY (IPPROTO_TCP sockets only) never applies: without
+        # this a pipelined response can wait out the peer's delayed ACK.
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._gateway.metrics.counter("httpd.connections").inc()
         protocol = _GatewayProtocol(self)
         self._connections.add(protocol)

@@ -891,6 +891,9 @@ class RouterServer:
             task.add_done_callback(self._shed_tasks.discard)
             return
         sock.setblocking(False)
+        # As in the gateway server: disable Nagle on every client socket
+        # (asyncio only does so for listeners created with IPPROTO_TCP).
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._counter("router.connections").inc()
         protocol = _RouterProtocol(self)
         self._connections.add(protocol)

@@ -129,6 +129,32 @@ class TestParallelBacktest:
             backtest_matrix(scale="galactic")
 
 
+class TestColdSweep:
+    def test_cleared_caches_refit_every_combo(self):
+        # The backtest benchmark clears exactly these two caches before
+        # each timed Table 1 sweep; the sweep must then refit every DrAFTS
+        # predictor and every AR(1) segmentation, or a new cache layer
+        # would have it time a warm sweep.
+        from repro.backtest import predcache
+        from repro.baselines.ar1 import AR1Bid
+        from repro.experiments.common import scaled_combos
+        from repro.experiments.table1 import run_table1
+
+        n = len(scaled_combos("test"))
+        try:
+            run_table1(scale="test", probability=0.99)
+            predcache.clear()
+            AR1Bid.clear_prefit()
+            run_table1(scale="test", probability=0.99)
+            info = predcache.cache_info()
+            assert info["batch_fits"] == n
+            assert info["misses"] == 0
+            assert len(AR1Bid._scan_cache) == n
+        finally:
+            predcache.clear()
+            AR1Bid.clear_prefit()
+
+
 class TestCostOptDrivers:
     def test_table4_shape_at_test_scale(self):
         from repro.experiments.tables45 import run_table4

@@ -93,6 +93,20 @@ def _stop_accepting(server) -> None:
     asyncio.run_coroutine_threadsafe(gate(), server._loop).result()
 
 
+def _server_side_nodelay(server) -> list[int]:
+    """TCP_NODELAY as set on each server-side connection of ``server``."""
+
+    async def read() -> list[int]:
+        return [
+            protocol.transport.get_extra_info("socket").getsockopt(
+                socket.IPPROTO_TCP, socket.TCP_NODELAY
+            )
+            for protocol in server._connections
+        ]
+
+    return asyncio.run_coroutine_threadsafe(read(), server._loop).result()
+
+
 class _GatedApi:
     """History reads block on ``gate`` (and flag ``entered``) — a handle to
     hold a request in flight at a deterministic point."""
@@ -310,6 +324,22 @@ class TestShedParity:
 
 
 class TestConnections:
+    def test_accepted_sockets_disable_nagle(self, env):
+        # A pipelined response must not wait out a client's delayed ACK:
+        # every admitted connection runs with Nagle's algorithm off.
+        universe, _keys, _ = env
+        gateway = _gateway(universe)
+        with AsyncGatewayHTTPServer(gateway, HttpdConfig()) as server:
+            conn = HTTPConnection(*server.address, timeout=10)
+            try:
+                conn.request("GET", "/healthz")
+                conn.getresponse().read()
+                nodelay = _server_side_nodelay(server)
+                assert len(nodelay) == 1
+                assert all(nodelay)
+            finally:
+                conn.close()
+
     def test_keep_alive_reuses_connection(self, env, server_cls):
         universe, _keys, _ = env
         gateway = _gateway(universe)

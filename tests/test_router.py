@@ -12,8 +12,11 @@ single-process analogue by construction.
 
 from __future__ import annotations
 
+import asyncio
 import json
+import socket
 import threading
+import time
 from http.client import HTTPConnection
 
 import pytest
@@ -560,3 +563,36 @@ class TestDrainAndReport:
         assert b["measured"] == 2 and b["responded"] == 1
         assert b["timeouts"] == 1 and a["timeouts"] == 0
         assert a["p50"] == pytest.approx(0.02)
+
+
+class TestClientSockets:
+    def test_client_sockets_disable_nagle(self, env):
+        # Same contract as the gateway server: the router's server side of
+        # every client connection runs with Nagle's algorithm off.
+        _universe, keys, _ = env
+        t, z, _ = keys[0]
+        router = RouterServer(
+            Partition({"s0": [(t, z)]}), {"s0": "http://127.0.0.1:1"}
+        ).start()
+
+        async def nodelay() -> list[int]:
+            return [
+                protocol.transport.get_extra_info("socket").getsockopt(
+                    socket.IPPROTO_TCP, socket.TCP_NODELAY
+                )
+                for protocol in router._connections
+            ]
+
+        try:
+            with socket.create_connection(router.address, timeout=10):
+                deadline = time.monotonic() + 10
+                while not router._connections:
+                    assert time.monotonic() < deadline, "never admitted"
+                    time.sleep(0.01)
+                got = asyncio.run_coroutine_threadsafe(
+                    nodelay(), router._loop
+                ).result()
+                assert len(got) == 1
+                assert all(got)
+        finally:
+            router.stop()

@@ -502,6 +502,40 @@ class TestBatchedTick:
         assert info["evictions"] == 2
 
 
+class TestWarmStart:
+    def test_every_level_fits_in_one_pass(self, small_universe, monkeypatch):
+        # Cold boot fits every (key, published level) in one lockstep
+        # fitter pass — the levels differ only in q — and publishes what a
+        # per-key cold fit publishes.
+        from repro.core import universe_fit
+
+        passes = []
+        fitter_init = universe_fit.UniverseFitter.__init__
+
+        def counting_init(self, series, configs, **kwargs):
+            passes.append(len(series))
+            fitter_init(self, series, configs, **kwargs)
+
+        monkeypatch.setattr(
+            universe_fit.UniverseFitter, "__init__", counting_init
+        )
+        levels = ServiceConfig().probabilities
+        assert len(levels) == 2
+        combo = small_universe.combo("c4.large", "us-east-1b")
+        now = small_universe.trace(combo).start + 45 * DAY
+        pairs = [("c4.large", "us-east-1b"), ("c4.large", "us-east-1c")]
+        service = DraftsService(EC2Api(small_universe))
+        assert service.warm_start(pairs, now)["fitted"] == 4
+        assert passes == [4]
+        cold = DraftsService(EC2Api(small_universe))
+        for instance_type, zone in pairs:
+            for p in levels:
+                assert curves_equal(
+                    service.curve(instance_type, zone, p, now),
+                    cold.curve(instance_type, zone, p, now),
+                ), (zone, p)
+
+
 class TestServiceInvariants:
     def test_published_minimum_bid_is_admissible(self, service_env, small_universe):
         """A curve's minimum bid must exceed the quoted market price at

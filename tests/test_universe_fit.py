@@ -1,13 +1,13 @@
 """Bit-identity tests for the universe-wide batched phase-1 fit.
 
 The contract under test: :func:`repro.core.universe_fit.fit_universe` /
-:func:`fit_drafts_universe` produce, for every key of a (ragged) universe,
-exactly the floats the per-key scalar path produces — QBETS bound series,
-change-point decisions, final bounds, exported state, ladder levels and
-bids — and the fitted state hands off losslessly to every consumer
-(``QBETS.load_state_dict`` continuation, ``OnlineDraftsPredictor``
+:func:`fit_drafts_universe` produce, for every key of a (ragged, possibly
+mixed-``q``) universe, exactly the floats the per-key scalar path produces —
+QBETS bound series, change-point decisions, final bounds, exported state,
+ladder levels and bids — and the fitted state hands off losslessly to every
+consumer (``QBETS.load_state_dict`` continuation, ``OnlineDraftsPredictor``
 snapshots, the frozen-replay ``UniverseTicker``, the predictor cache, the
-AR(1) prefit).
+AR(1) prefit and the fused Table 1 phase-1 pass).
 """
 
 from __future__ import annotations
@@ -18,20 +18,20 @@ import numpy as np
 import pytest
 
 from repro.backtest import predcache
+from repro.backtest.universe_driver import prefit_phase1
 from repro.baselines.ar1 import AR1Bid
 from repro.core.drafts import DraftsConfig, DraftsPredictor
 from repro.core.online import OnlineDraftsPredictor
 from repro.core.qbets import QBETS, QBETSConfig
 from repro.core.universe import UniverseTicker
-from repro.core.universe_fit import (
-    fit_drafts_universe,
-    fit_universe,
-    scan_universe,
-)
+from repro.core.universe_fit import fit_drafts_universe, fit_universe
+from repro.experiments.common import scaled_combos, scaled_universe
 from repro.market.synthetic import VOLATILITY_CLASSES, synthetic_trace
 from repro.market.traces import PriceTrace
 
 CFG = QBETSConfig(q=0.975, c=0.99)
+#: A second probability level for the mixed-q lockstep tests.
+CFG_HI = QBETSConfig(q=0.99, c=0.99)
 CLASSES = list(VOLATILITY_CLASSES)
 
 
@@ -68,17 +68,19 @@ def _assert_state_equal(ref: dict, got: dict, label: str) -> None:
             assert same, f"{label}: {key} ref={va!r} got={vb!r}"
 
 
-def _assert_key_matches(res, k: int, x: np.ndarray, *, bounds: bool) -> None:
+def _assert_key_matches(
+    res, k: int, x: np.ndarray, *, bounds: bool, cfg: QBETSConfig = CFG
+) -> None:
     """One key of a batch result vs a fresh scalar QBETS replay."""
-    qb = QBETS(CFG)
+    qb = QBETS(cfg)
+    ref_bounds = qb.bound_series(x)
     if bounds:
-        ref_bounds = qb.bound_series(x)
         assert np.array_equal(
             ref_bounds, res.bounds(k), equal_nan=True
         ), f"key {k}: bound series"
     else:
-        qb.scan(x)
-    # state_dict() first: reading .bound would clear scan-mode staleness.
+        with pytest.raises(ValueError, match="segmentation-only"):
+            res.bounds(k)
     ref_state = qb.state_dict()
     assert _nan_eq(qb.bound, res.final_bound(k)), f"key {k}: final bound"
     assert list(qb.changepoints) == list(res.changepoints(k)), (
@@ -88,7 +90,7 @@ def _assert_key_matches(res, k: int, x: np.ndarray, *, bounds: bool) -> None:
 
 
 class TestFitUniverse:
-    """fit_universe vs per-key scalar bound_series/scan replays."""
+    """fit_universe vs per-key scalar bound_series replays."""
 
     def _crafted_universe(self) -> list[np.ndarray]:
         """Ragged lengths plus crafted change points at the boundaries.
@@ -116,14 +118,54 @@ class TestFitUniverse:
         series[4][1450:] *= 0.12
         return series
 
-    @pytest.mark.parametrize("bounds", [True, False], ids=["fit", "scan"])
+    @pytest.mark.parametrize(
+        "bounds", [True, False], ids=["fit", "segment"]
+    )
     def test_crafted_universe_bit_identical(self, bounds):
+        # "segment": segmentation-only keys store no bound series but must
+        # leave change points, final bound and state exactly as
+        # bound_series does.
         series = self._crafted_universe()
-        res = fit_universe(
-            series, CFG, need_bounds=bounds
-        ) if bounds else scan_universe(series, CFG)
+        res = fit_universe(series, CFG, store_bounds=[bounds] * len(series))
         for k, x in enumerate(series):
             _assert_key_matches(res, k, x, bounds=bounds)
+
+    def test_mixed_q_universe_bit_identical(self):
+        # Keys alternate between two probability levels in one lockstep
+        # pass: per-key k-table row, up-detector critical count,
+        # min_history (ESS floor, keep length, winsorisation pad) and
+        # autocorrelation threshold. Key 0 is forced through the scalar
+        # ejection path mid-fit, key 5 stops one announcement short of its
+        # own (q = 0.99) min_history, and keys 3/4 store no bound series.
+        series = self._crafted_universe()
+        series[5] = _series(5, CFG_HI.min_history() - 1)
+        configs = [CFG if k % 2 == 0 else CFG_HI for k in range(len(series))]
+        store = [k not in (3, 4) for k in range(len(series))]
+        res = fit_universe(
+            series, configs, store_bounds=store, eject_after={0: 900}
+        )
+        assert res.ejected_keys == [0]
+        for k, x in enumerate(series):
+            _assert_key_matches(
+                res, k, x, bounds=store[k], cfg=configs[k]
+            )
+        assert np.all(np.isnan(res.bounds(5)))
+        assert math.isnan(res.final_bound(5))
+
+    def test_per_key_autocorrelation_path_bit_identical(self):
+        # A window that is not a power of two sends every refresh through
+        # the per-key lag-1 path, full rings included (the path a refresh
+        # batch takes whenever one of its keys is still warming up).
+        cfg = CFG.with_(autocorr_window=200)
+        series = self._crafted_universe()
+        res = fit_universe(series, cfg)
+        for k, x in enumerate(series):
+            _assert_key_matches(res, k, x, bounds=True, cfg=cfg)
+
+    def test_lockstep_fields_must_agree(self):
+        series = [_series(i, 300) for i in range(2)]
+        with pytest.raises(ValueError, match="identical up to q"):
+            fit_universe(series, [CFG, CFG.with_(cp_window=24)])
 
     def test_crafted_change_points_actually_fire(self):
         series = self._crafted_universe()
@@ -390,3 +432,42 @@ class TestAR1Prefit:
             assert np.array_equal(got, ref)
         # Idempotent: everything is cached now.
         assert AR1Bid.prefit_universe(drafts_traces, 0.99) == 0
+
+
+class TestFusedPhase1:
+    """prefit_phase1: DrAFTS phase 1 and the AR(1) segmentation, one pass."""
+
+    def setup_method(self):
+        predcache.clear()
+        AR1Bid.clear_prefit()
+
+    def teardown_method(self):
+        predcache.clear()
+        AR1Bid.clear_prefit()
+
+    def test_fused_pass_matches_scalar_fits(self):
+        universe = scaled_universe("test")
+        traces = [universe.trace(c) for c in scaled_combos("test")]
+        assert prefit_phase1(traces, 0.99) == 2 * len(traces)
+        assert predcache.cache_info()["batch_fits"] == len(traces)
+        for trace in traces:
+            label = f"{trace.instance_type}@{trace.zone}"
+            max_price = AR1Bid._combo_max_price(trace)
+            # AR(1): segmentation-only keys at the baseline's own q must
+            # reproduce the scalar scan's change points.
+            qb = QBETS(
+                QBETSConfig(q=0.99, c=0.99, side="upper", max_value=max_price)
+            )
+            qb.scan(trace.prices)
+            got = AR1Bid(trace, 0.99, max_price=max_price)._changepoints
+            assert list(got) == list(qb.changepoints), label
+            # DrAFTS: the q = sqrt(p) keys of the same pass.
+            config = DraftsConfig(probability=0.99, max_price=max_price)
+            pred = predcache.peek_predictor(trace, config)
+            ref = QBETS(config.qbets_config())
+            assert np.array_equal(
+                ref.bound_series(trace.prices), pred._bounds, equal_nan=True
+            ), label
+            assert list(ref.changepoints) == list(pred.changepoints)
+        # Both caches hold everything now.
+        assert prefit_phase1(traces, 0.99) == 0
