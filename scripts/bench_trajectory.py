@@ -24,10 +24,6 @@ baselines, and
   real listening socket — p50/p99/p99.9, shed/timeout rates, offered vs
   achieved throughput — plus the seeded latency-spike A/B showing hedged
   p99.9 below unhedged),
-* the HTTP front-end comparison (the same multi-wave open-loop replay
-  against the thread-per-connection server and the asyncio event-loop
-  server; gated on asyncio reaching 1.5x the threaded achieved
-  throughput at equal-or-better p99),
 * the shard-routed scaling curve (fork-mode 1/2/4-shard deployments
   behind the consistent-hash router, each replayed with the identical
   open-loop stream against a direct single-worker baseline; the gate is
@@ -298,12 +294,6 @@ def _time_serving_slo(scale: str, n_requests: int) -> dict:
     )
 
 
-def _time_frontends(scale: str) -> dict:
-    from repro.serving.bench import FrontendBenchConfig, run_frontend_benchmark
-
-    return run_frontend_benchmark(FrontendBenchConfig(scale=scale))
-
-
 def _time_scaling(scale: str) -> dict:
     from repro.serving.bench import ScalingBenchConfig, run_scaling_benchmark
 
@@ -448,16 +438,6 @@ def main() -> int:
         f"{demo['hedged']['hedges_launched']} hedges, "
         f"{demo['unhedged']['injected_spikes']} spikes)"
     )
-    print("comparing HTTP front ends (threaded vs asyncio) ...")
-    frontends = _time_frontends(args.scale)
-    print(
-        f"  threaded {frontends['threaded']['achieved_rps']:.0f} rps "
-        f"p99 {frontends['threaded']['p99'] * 1e3:.1f} ms -> asyncio "
-        f"{frontends['asyncio']['achieved_rps']:.0f} rps "
-        f"p99 {frontends['asyncio']['p99'] * 1e3:.1f} ms "
-        f"(x{frontends['achieved_ratio']:.2f} throughput, "
-        f"p99 x{frontends['p99_ratio']:.2f})"
-    )
     print("measuring the shard-routed scaling curve (fork-mode workers) ...")
     scaling = _time_scaling(args.scale)
     for n_shards, summary in sorted(
@@ -479,7 +459,6 @@ def main() -> int:
         "slo": slo,
         "slo_drain": slo_run["drain"],
         "hedge_demo": demo,
-        "frontends": frontends,
         "scaling": scaling,
     }
     args.serving_output.write_text(json.dumps(serving_report, indent=2) + "\n")
@@ -503,11 +482,6 @@ def main() -> int:
     if not demo["ok"]:
         raise AssertionError(
             "hedged p99.9 did not beat unhedged under seeded spikes"
-        )
-    if not frontends["ok"]:
-        raise AssertionError(
-            "asyncio front end did not reach 1.5x threaded achieved "
-            "throughput at equal-or-better p99"
         )
     if not scaling["ok"]:
         raise AssertionError(

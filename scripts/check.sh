@@ -55,20 +55,14 @@ PYTHONPATH=src python -m repro chaos --requests 120 --error-rate 0.1 --seed 7 >/
 
 # Socket round trip: spawn the gateway on a real ephemeral port and replay
 # a few hundred open-loop requests against it (~2 s). Exercises the full
-# serve path — listener, keep-alive connections, graceful drain — and the
-# replayer's SLO accounting; exits non-zero if the error rate blows up.
+# serve path — listener, keep-alive connections, inline fast path,
+# executor offload, graceful drain — and the replayer's SLO accounting;
+# exits non-zero if the error rate blows up or the server fails to drain
+# cleanly.
 echo "== serve+replay smoke (real socket round trip) =="
 PYTHONPATH=src python -m repro replay --spawn --requests 300 --rate 300 \
     --warmup 30 --seed 7 >/dev/null \
     && echo "socket replay round trip ok"
-
-# Same round trip over the asyncio front end: inline fast path, executor
-# offload, graceful drain (the command exits non-zero if the spawned
-# server fails to drain cleanly).
-echo "== serve+replay smoke (asyncio front end) =="
-PYTHONPATH=src python -m repro replay --spawn --async --requests 300 --rate 300 \
-    --warmup 30 --seed 7 >/dev/null \
-    && echo "asyncio replay round trip ok"
 
 # Router smoke: boot two forked shard workers behind the consistent-hash
 # front tier, assert the partition is exhaustive and disjoint (worker

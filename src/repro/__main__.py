@@ -27,19 +27,22 @@ Commands:
     structure-of-arrays phase-1 fitter and verify bound series, change
     points, ladders and bid queries are bit-identical to per-key scalar
     ``DraftsPredictor`` fits; exits non-zero on the first divergence.
-``serve [--scale test] [--keys N] [--host H] [--port P] [--async] [--workers N]``
-    Stand the serving gateway up behind a real listening socket
-    (``/predictions``, ``/bid``, ``/cheapest``, ``/healthz``, ``/metrics``)
-    and run until interrupted; Ctrl-C drains gracefully. ``--async``
-    swaps the thread-per-connection front end for the single-threaded
-    asyncio one; ``--workers N`` (asyncio only) forks N SO_REUSEPORT
-    processes sharing the port.
-``replay [--url U | --spawn [--async]] [--requests N] [--rate R] ...``
+``serve [--scale test] [--keys N] [--host H] [--port P] [--workers N | --shards N]``
+    Stand the serving gateway up behind a real listening socket (the
+    asyncio front end: ``/predictions``, ``/bid``, ``/cheapest``,
+    ``/healthz``, ``/metrics``) and run until interrupted; Ctrl-C drains
+    gracefully. ``--workers N`` forks N SO_REUSEPORT processes sharing
+    the port; ``--shards N`` partitions the keys across N forked workers
+    behind the consistent-hash router.
+``replay [--url U | --spawn [--workers N | --shards N]] [--requests N] [--rate R] ...``
     Replay an open-loop (diurnal x Zipf) workload against a serving socket
     and print the tail SLO table. ``--spawn`` brings up an in-process
     server on an ephemeral port (optionally with seeded latency spikes)
     so one command is a full round trip; exits non-zero if the spawned
     server fails to drain cleanly.
+``router-smoke [--keys N] [--shards N]``
+    Boot a forked sharded deployment and verify partition disjointness,
+    routed byte parity with a single gateway, and a clean drain.
 """
 
 from __future__ import annotations
@@ -350,39 +353,23 @@ def _replay_universe(args: argparse.Namespace):
     return predictable_keys(universe, args.keys, args.probability)
 
 
-def _server_class(use_async: bool):
-    if use_async:
-        from repro.serving.aiohttpd import AsyncGatewayHTTPServer
-
-        return AsyncGatewayHTTPServer
-    from repro.serving.httpd import GatewayHTTPServer
-
-    return GatewayHTTPServer
-
-
 def _serve_one(args: argparse.Namespace, *, reuse_port: bool, banner: bool) -> int:
     """Build a warm gateway, serve until SIGINT, drain, report."""
-    from repro.cloud.api import EC2Api
-    from repro.service.drafts_service import DraftsService, ServiceConfig
-    from repro.serving.gateway import GatewayConfig, ServingGateway
+    from repro.serving.aiohttpd import AsyncGatewayHTTPServer
+    from repro.serving.gateway import GatewayConfig, warm_gateway
     from repro.serving.httpd import HttpdConfig
 
-    universe = scaled_universe(args.scale)
     keys, start_now = _replay_universe(args)
-    gateway = ServingGateway(
-        DraftsService(
-            EC2Api(universe), ServiceConfig(probabilities=(args.probability,))
-        ),
-        GatewayConfig(
+    gateway = warm_gateway(
+        scaled_universe(args.scale),
+        [key[:2] for key in keys],
+        start_now,
+        args.probability,
+        config=GatewayConfig(
             max_inflight=args.max_inflight, snapshot_dir=args.snapshot_dir
         ),
     )
-    for key in keys:
-        gateway.get(
-            f"/predictions/{key[0]}/{key[1]}"
-            f"?probability={key[2]}&now={start_now}"
-        )
-    server = _server_class(args.use_async)(
+    server = AsyncGatewayHTTPServer(
         gateway,
         HttpdConfig(
             host=args.host,
@@ -393,8 +380,7 @@ def _serve_one(args: argparse.Namespace, *, reuse_port: bool, banner: bool) -> i
     )
     server.start()
     if banner:
-        front = "asyncio" if args.use_async else "threaded"
-        print(f"serving {len(keys)} warm key(s) on {server.url} ({front})")
+        print(f"serving {len(keys)} warm key(s) on {server.url}")
         print(f"  warm simulation instant: now={start_now}")
         for key in keys:
             print(
@@ -480,12 +466,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.workers == 1:
         return _serve_one(args, reuse_port=False, banner=True)
     # Multi-loop mode: N processes bind the same port via SO_REUSEPORT and
-    # the kernel spreads connections across them. One event loop is one
-    # core, so this is the asyncio front end's scale-out story; the
-    # threaded server has no equivalent constraint and keeps one process.
-    if not args.use_async:
-        print("serve: --workers requires --async", file=sys.stderr)
-        return 2
+    # the kernel spreads connections across them (one event loop is one
+    # core).
     if args.port == 0:
         print(
             "serve: --workers requires an explicit --port "
@@ -514,41 +496,30 @@ def _replica_builder(universe, keys, start_now, args: argparse.Namespace):
     """A :class:`ForkedWorker` builder for one full-universe replica.
 
     Runs in the forked child: fits all keys (batch fit), primes the
-    store, and serves from the asyncio front end on an ephemeral port.
+    store, and serves on an ephemeral port.
     """
 
     def build(worker_id: str):
         import os
 
-        from repro.cloud.api import EC2Api
-        from repro.service.drafts_service import DraftsService, ServiceConfig
         from repro.serving.aiohttpd import AsyncGatewayHTTPServer
-        from repro.serving.gateway import GatewayConfig, ServingGateway
+        from repro.serving.gateway import warm_gateway
         from repro.serving.httpd import HttpdConfig
 
-        service = DraftsService(
-            EC2Api(universe), ServiceConfig(probabilities=(args.probability,))
-        )
-        service.warm_start([(key[0], key[1]) for key in keys], start_now)
-        gateway = ServingGateway(
-            service,
-            GatewayConfig(max_inflight=256),
+        gateway = warm_gateway(
+            universe,
+            [key[:2] for key in keys],
+            start_now,
+            args.probability,
             identity={
                 "shard": worker_id,
                 "pid": os.getpid(),
                 "owned_keys": len(keys),
             },
         )
-        server = AsyncGatewayHTTPServer(
+        return AsyncGatewayHTTPServer(
             gateway, HttpdConfig(max_connections=256)
-        )
-        server.start()
-        for key in keys:
-            gateway.get(
-                f"/predictions/{key[0]}/{key[1]}"
-                f"?probability={key[2]}&now={start_now}"
-            )
-        return server
+        ).start()
 
     return build
 
@@ -618,11 +589,6 @@ def _cmd_replay(args: argparse.Namespace) -> int:
             # Forked full-universe replicas, one ephemeral port each, so
             # the EWMA/quarantine tracker sees real per-worker targets
             # instead of one SO_REUSEPORT URL the kernel muddles.
-            if not args.use_async:
-                print(
-                    "replay: --workers requires --async", file=sys.stderr
-                )
-                return 2
             from repro.serving.router import ForkedWorker
 
             universe = scaled_universe(args.scale)
@@ -632,15 +598,12 @@ def _cmd_replay(args: argparse.Namespace) -> int:
             ]
             urls = [worker.wait_ready(180.0) for worker in workers]
         else:
-            from repro.cloud.api import EC2Api
-            from repro.service.drafts_service import (
-                DraftsService,
-                ServiceConfig,
-            )
+            from repro.serving.aiohttpd import AsyncGatewayHTTPServer
             from repro.serving.chaos import FaultConfig, ReplaySpiker
-            from repro.serving.gateway import GatewayConfig, ServingGateway
+            from repro.serving.gateway import warm_gateway
             from repro.serving.httpd import HttpdConfig
 
+            httpd_cfg = HttpdConfig(max_connections=256)
             if args.spike_rate > 0:
                 spiker = ReplaySpiker(
                     FaultConfig(
@@ -649,27 +612,22 @@ def _cmd_replay(args: argparse.Namespace) -> int:
                         seed=args.seed,
                     )
                 )
-            universe = scaled_universe(args.scale)
-            gateway = ServingGateway(
-                DraftsService(
-                    EC2Api(universe),
-                    ServiceConfig(probabilities=(args.probability,)),
-                ),
-                GatewayConfig(max_inflight=256),
-            )
-            for key in keys:
-                gateway.get(
-                    f"/predictions/{key[0]}/{key[1]}"
-                    f"?probability={key[2]}&now={start_now}"
+                # An armed hook sends every request to the executor: one
+                # thread per replay worker, so a stalled request never
+                # queues an unrelated one behind it.
+                httpd_cfg = HttpdConfig(
+                    max_connections=256,
+                    executor_workers=max(1, args.concurrency),
                 )
-            server = _server_class(args.use_async)(
-                gateway, HttpdConfig(max_connections=256), spike=spiker
+            gateway = warm_gateway(
+                scaled_universe(args.scale),
+                [key[:2] for key in keys],
+                start_now,
+                args.probability,
             )
+            server = AsyncGatewayHTTPServer(gateway, httpd_cfg, spike=spiker)
             server.start()
             urls = [server.url]
-    elif args.use_async:
-        print("replay: --async only applies with --spawn", file=sys.stderr)
-        return 2
     elif args.shards > 0 or args.workers > 1:
         print(
             "replay: --shards/--workers only apply with --spawn",
@@ -725,9 +683,8 @@ def _cmd_router_smoke(args: argparse.Namespace) -> int:
     import json
 
     from repro.cloud.api import EC2Api
-    from repro.service.drafts_service import DraftsService, ServiceConfig
     from repro.service.rest import encode_body
-    from repro.serving.gateway import GatewayConfig, ServingGateway
+    from repro.serving.gateway import warm_gateway
     from repro.serving.router import ShardDeployment, plan_shards
 
     universe = scaled_universe(args.scale)
@@ -743,18 +700,7 @@ def _cmd_router_smoke(args: argparse.Namespace) -> int:
     combos = sorted(combos)
     partition = plan_shards(args.shards, combos)
 
-    single = ServingGateway(
-        DraftsService(
-            EC2Api(universe), ServiceConfig(probabilities=(args.probability,))
-        ),
-        GatewayConfig(max_inflight=256),
-    )
-    single.service.warm_start(list(combos), start_now)
-    for itype, zone in combos:
-        single.get(
-            f"/predictions/{itype}/{zone}"
-            f"?probability={args.probability}&now={start_now}"
-        )
+    single = warm_gateway(universe, combos, start_now, args.probability)
 
     def http_get(base_url: str, path: str) -> tuple[int, bytes]:
         host, port = base_url.split("//", 1)[1].split(":")
@@ -963,18 +909,11 @@ def main(argv: list[str] | None = None) -> int:
         "final checkpoint after the drain)",
     )
     p_srv.add_argument(
-        "--async",
-        dest="use_async",
-        action="store_true",
-        help="serve from the single-threaded asyncio front end instead "
-        "of a thread per connection",
-    )
-    p_srv.add_argument(
         "--workers",
         type=int,
         default=1,
-        help="SO_REUSEPORT worker processes (requires --async and an "
-        "explicit --port); the kernel spreads connections across loops",
+        help="SO_REUSEPORT worker processes (requires an explicit "
+        "--port); the kernel spreads connections across loops",
     )
     p_srv.add_argument(
         "--shards",
@@ -1026,18 +965,11 @@ def main(argv: list[str] | None = None) -> int:
     )
     p_rep.add_argument("--spike-seconds", type=float, default=0.25)
     p_rep.add_argument(
-        "--async",
-        dest="use_async",
-        action="store_true",
-        help="spawn the asyncio front end instead of the threaded one "
-        "(--spawn only)",
-    )
-    p_rep.add_argument(
         "--workers",
         type=int,
         default=1,
         help="spawn N forked full-universe replicas, one ephemeral port "
-        "each, and replay across all of them (requires --spawn --async); "
+        "each, and replay across all of them (requires --spawn); "
         "the EWMA tracker sees one target per worker",
     )
     p_rep.add_argument(

@@ -18,12 +18,13 @@ pure cache reads. This package is that architecture as a subsystem:
 * :mod:`repro.serving.chaos` — seeded fault injection (faulty API, torn
   snapshots, request-level latency spikes) and the invariant-checking
   harness behind ``python -m repro chaos``;
-* :mod:`repro.serving.httpd` — the gateway behind a real listening socket
-  (``python -m repro serve``): keep-alive, graceful drain, backlog
-  overflow surfaced as shed;
-* :mod:`repro.serving.aiohttpd` — the same contract on a single-threaded
-  asyncio event loop (``python -m repro serve --async``): executor
-  offload for blocking handlers, ``SO_REUSEPORT`` multi-loop fan-out;
+* :mod:`repro.serving.aiohttpd` — the gateway behind a real listening
+  socket on a single-threaded asyncio event loop (``python -m repro
+  serve``): keep-alive, graceful drain, backlog overflow surfaced as
+  shed, executor offload for blocking handlers, ``SO_REUSEPORT``
+  multi-loop fan-out; its knobs are :class:`~repro.serving.httpd.HttpdConfig`;
+* :mod:`repro.serving.router` — the consistent-hash shard router in
+  front of N such servers (``python -m repro serve --shards N``);
 * :mod:`repro.serving.replay` — the open-loop socket replayer
   (``python -m repro replay``): persistent connection pools, diurnal x
   Zipf arrivals, hedged requests, tail SLO reporting.
@@ -40,7 +41,7 @@ from repro.serving.chaos import (
 )
 from repro.serving.clock import Clock, ManualClock, SystemClock
 from repro.serving.gateway import GatewayConfig, ServingGateway
-from repro.serving.httpd import GatewayHTTPServer, HttpdConfig
+from repro.serving.httpd import HttpdConfig
 from repro.serving.loadgen import (
     DiurnalEnvelope,
     LoadGenerator,
@@ -78,7 +79,6 @@ __all__ = [
     "FaultyCompute",
     "Gauge",
     "GatewayConfig",
-    "GatewayHTTPServer",
     "Histogram",
     "HttpdConfig",
     "LoadGenerator",

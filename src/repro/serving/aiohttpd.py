@@ -1,15 +1,13 @@
-"""Asyncio HTTP front end for the gateway (one event loop, no threads-per-connection).
+"""The gateway behind a real listening socket (§3.3 over an actual wire).
 
-The threaded front end (:mod:`repro.serving.httpd`) spends its capacity on
-thread wakeups: every keep-alive connection pins a thread, and past a few
-dozen connections the scheduler — not the gateway — sets the throughput
-ceiling. This module serves the same routes from a single-threaded
-``asyncio`` event loop (stdlib only): connections are protocol objects,
-socket readiness is one ``epoll`` set, and the loop multiplexes thousands
-of keep-alive peers without a thread each.
+One single-threaded ``asyncio`` event loop (stdlib only) serves the
+gateway's routes: connections are protocol objects, socket readiness is
+one ``epoll`` set, and the loop multiplexes thousands of keep-alive peers
+without a thread each. The request-head loop, error bytes and shed path
+are the shared :mod:`repro.serving.httpcore` core, the same one the
+shard router runs.
 
-The contract is unchanged from the threaded server — it is the *same*
-transport-agnostic core (:mod:`repro.serving.httpcore`):
+The contract:
 
 * **parity** — same status code and byte-identical body (via
   :func:`repro.service.rest.encode_body`) as the in-process gateway for
@@ -18,8 +16,8 @@ transport-agnostic core (:mod:`repro.serving.httpcore`):
   always set; per-connection read timeouts reap dead peers;
 * **overflow shed** — beyond ``max_connections`` concurrent connections
   the accept loop writes the canned 429 + ``Retry-After`` and closes
-  (bytes identical to the threaded server's shed, both built by
-  :func:`~repro.serving.httpcore.shed_response_bytes`);
+  (:func:`~repro.serving.httpcore.shed_response_bytes`), instead of
+  letting the kernel backlog silently reset clients;
 * **graceful drain** — :meth:`AsyncGatewayHTTPServer.stop` stops
   accepting, lets in-flight requests finish, closes idle keep-alives,
   sheds the kernel accept-queue backlog, and only then checkpoints and
@@ -30,7 +28,7 @@ Three event-loop-specific decisions:
 * **inline fast path** — most requests are warm-store reads the gateway
   answers in microseconds; paying a thread-pool round trip for each would
   cost more than the handler itself. The protocol asks the gateway
-  (:meth:`~repro.serving.gateway.ServingGateway.can_serve_inline`)
+  (:meth:`~repro.serving.gateway.ServingGateway.probe_inline`)
   whether the URL can be answered without blocking — warm ``predictions``
   and ``bid`` reads, health, metrics, every in-memory error path — and if
   so dispatches *synchronously inside* ``data_received``: one callback
@@ -42,7 +40,7 @@ Three event-loop-specific decisions:
   while at most ``executor_workers`` handlers run, and excess requests
   queue on the (async) semaphore instead of spawning threads.
 * **SO_REUSEPORT fan-out** — one loop is one core. ``reuse_port=True``
-  lets N server processes (``python -m repro serve --async --workers N``)
+  lets N server processes (``python -m repro serve --workers N``)
   bind the same port and have the kernel spread connections across
   loops; the replayer's EWMA/quarantine routing needs no changes to
   drive them.
@@ -53,6 +51,10 @@ request costs ~50 µs on this path, while a sweep every fraction of the
 timeout gives the same guarantee (a dead peer is reaped within
 ``request_timeout_seconds`` plus one sweep interval) for a per-request
 cost of zero.
+
+An optional ``spike`` hook runs before each request dispatch — the chaos
+harness mounts seeded latency injection there (see
+:class:`repro.serving.chaos.ReplaySpiker`).
 """
 
 from __future__ import annotations
@@ -65,14 +67,13 @@ from concurrent.futures import ThreadPoolExecutor
 from repro.service.rest import encode_body
 from repro.serving.gateway import ServingGateway
 from repro.serving.httpcore import (
-    MAX_HEAD_BYTES,
-    BadRequest,
+    HeadLoopProtocol,
     Headers,
     SpikeHook,
+    body_response,
     dispatch,
-    parse_head,
     render_response,
-    retry_after_header,
+    shed_connection,
     shed_response_bytes,
     sweep_backlog,
 )
@@ -80,104 +81,39 @@ from repro.serving.httpd import HttpdConfig
 
 __all__ = ["AsyncGatewayHTTPServer"]
 
-# The request-head parser is shared with the shard router; keep the old
-# module-private names alive for in-repo callers.
-_MAX_HEAD_BYTES = MAX_HEAD_BYTES
-_Headers = Headers
-_BadRequest = BadRequest
-_parse_head = parse_head
 
-
-class _GatewayProtocol(asyncio.Protocol):
-    """One keep-alive connection: buffer bytes, parse heads, answer.
+class _GatewayProtocol(HeadLoopProtocol):
+    """One keep-alive connection to the gateway.
 
     The hot path never leaves ``data_received``: head found in the
     buffer, gateway dispatched inline, response written to the transport
     — all in the same callback. Only requests the gateway cannot answer
-    from memory become a task (executor offload); while one is in flight
-    the protocol stops parsing (``busy``) so responses stay ordered, and
-    resumes from the buffer when the response has been written.
+    from memory become a task (executor offload); the shared head loop
+    (:class:`~repro.serving.httpcore.HeadLoopProtocol`) holds the
+    connection ``busy`` until that task writes its answer.
     """
 
-    __slots__ = ("server", "transport", "buffer", "busy", "last_activity")
-
-    def __init__(self, server: "AsyncGatewayHTTPServer") -> None:
-        self.server = server
-        self.transport: asyncio.Transport | None = None
-        self.buffer = bytearray()
-        self.busy = False  # an offloaded request is in flight
-        self.last_activity = 0.0
-
-    # -- transport callbacks ---------------------------------------------------
+    __slots__ = ()
 
     def connection_made(self, transport) -> None:
-        self.transport = transport
-        self.last_activity = self.server._loop.time()
-        self.server._gateway.metrics.gauge("httpd.active_connections").set(
-            len(self.server._connections)
-        )
+        super().connection_made(transport)
+        self.server._count_connections()
 
     def connection_lost(self, exc) -> None:
+        super().connection_lost(exc)
+        self.server._count_connections()
+
+    def serve(self, path: str, headers: Headers, close: bool) -> bool:
         server = self.server
-        server._connections.discard(self)
-        server._gateway.metrics.gauge("httpd.active_connections").set(
-            len(server._connections)
-        )
-
-    def eof_received(self) -> bool:
-        return False  # peer finished sending; close our side too
-
-    def data_received(self, data: bytes) -> None:
-        self.last_activity = self.server._loop.time()
-        self.buffer += data
-        if not self.busy:
-            self._process()
-
-    # -- request loop ----------------------------------------------------------
-
-    def _process(self) -> None:
-        """Answer every complete head in the buffer, in order."""
-        while True:
-            index = self.buffer.find(b"\r\n\r\n")
-            if index < 0:
-                if len(self.buffer) > _MAX_HEAD_BYTES:
-                    self.transport.close()  # oversized head; no valid answer
-                return
-            head = bytes(self.buffer[:index])
-            del self.buffer[: index + 4]
-            if not self._serve(head):
-                return
-
-    def _serve(self, head: bytes) -> bool:
-        """Answer one request; ``False`` pauses the loop (offload pending
-        or connection closing)."""
-        server = self.server
-        try:
-            method, path, headers = _parse_head(head)
-        except _BadRequest as exc:
-            self._write(400, {"error": str(exc)}, close=True)
-            return False
-        if method != "GET":
-            self._write(
-                501, {"error": f"unsupported method {method!r}"}, close=True
-            )
-            return False
-        close = (
-            server._draining
-            or headers.get("Connection", "").lower() == "close"
-        )
-        server._requests_total.inc()
         if server._spike is None:
             can_inline, curve = server._gateway.probe_inline(path)
             if can_inline:
                 server._requests_inline.inc()
                 status, body = dispatch(server._gateway, None, path, headers)
                 if status == 200 and curve is not None:
-                    self._write_encoded(
-                        status, body, curve, path, close=close
-                    )
+                    self._write_encoded(status, body, curve, path, close=close)
                 else:
-                    self._write(status, body, close=close)
+                    self.write_body(status, body, close=close)
                 return not close
         self.busy = True
         task = server._loop.create_task(self._offload(path, headers, close))
@@ -185,7 +121,7 @@ class _GatewayProtocol(asyncio.Protocol):
         task.add_done_callback(server._request_done)
         return False
 
-    async def _offload(self, path: str, headers: _Headers, close: bool) -> None:
+    async def _offload(self, path: str, headers: Headers, close: bool) -> None:
         """One potentially blocking gateway call, off the loop, behind
         the bounded semaphore."""
         server = self.server
@@ -202,26 +138,7 @@ class _GatewayProtocol(asyncio.Protocol):
                 )
         finally:
             server._inflight_requests -= 1
-        if self.transport is None or self.transport.is_closing():
-            return  # peer went away while the handler ran
-        self._write(status, body, close=close)
-        self.busy = False
-        self.last_activity = server._loop.time()
-        if not close:
-            self._process()  # pipelined heads may already be buffered
-
-    def _write(self, status: int, body: dict, *, close: bool) -> None:
-        payload = encode_body(body)
-        self.transport.write(
-            render_response(
-                status,
-                payload,
-                retry_after=retry_after_header(body),
-                close=close,
-            )
-        )
-        if close:
-            self.transport.close()
+        self.answer(body_response(status, body, close=close), close)
 
     def _write_encoded(
         self, status: int, body: dict, curve, path: str, *, close: bool
@@ -247,29 +164,22 @@ class _GatewayProtocol(asyncio.Protocol):
             if len(cache) >= 4096:
                 cache.clear()  # bounded; refreshes strand dead entries
             cache[path] = (curve, payload)
-        self.transport.write(
-            render_response(status, payload, retry_after=None, close=close)
-        )
-        if close:
-            self.transport.close()
+        self.write(render_response(status, payload, close=close), close)
 
 
 class AsyncGatewayHTTPServer:
     """The gateway behind a single-threaded asyncio event loop.
 
-    Drop-in for :class:`~repro.serving.httpd.GatewayHTTPServer`: same
-    constructor shape, same ``start``/``stop``/``address``/``url``
-    surface, same drain statistics, same metrics names — so the parity
-    suite, the replayer and the chaos spike hook treat the two servers
-    interchangeably. The loop runs in one background thread; warm-store
-    reads dispatch inline on the loop, while potentially blocking gateway
-    work (cold-miss fits, snapshot writes, chaos spikes) runs on a
-    bounded executor so it never stalls connection I/O.
+    The loop runs in one background thread; warm-store reads dispatch
+    inline on the loop, while potentially blocking gateway work
+    (cold-miss fits, ``/cheapest`` scans, chaos spikes) runs on a bounded
+    executor so it never stalls connection I/O.
 
     ``manage_gateway=True`` (default) ties the gateway lifecycle to the
-    server's, exactly as the threaded server does: :meth:`start` starts
-    the refresher workers (and the warm-restore), :meth:`stop` — after
-    the drain — stops the gateway, which writes the final checkpoint.
+    server's: :meth:`start` starts the refresher workers (and the
+    warm-restore when a snapshot directory is configured), and
+    :meth:`stop` — after the drain — stops the gateway, which writes the
+    final checkpoint. Pass ``False`` when the caller owns the gateway.
     """
 
     def __init__(
@@ -300,12 +210,13 @@ class AsyncGatewayHTTPServer:
         # url -> (curve, payload): wire encodings of warm 200s, validated
         # by curve object identity (see _GatewayProtocol._write_encoded).
         self._encode_cache: dict[str, tuple[object, bytes]] = {}
-        # Metric objects resolved once at start(): the registry lookup is
-        # lock-protected and would otherwise run on every request.
+        # Resolved once at start(): the registry lookup is lock-protected
+        # and would otherwise run on every request.
         self._requests_total = None
         self._requests_inline = None
+        self._shed_bytes = b""
 
-    # -- public surface (mirrors GatewayHTTPServer) ---------------------------
+    # -- public surface --------------------------------------------------------
 
     @property
     def gateway(self) -> ServingGateway:
@@ -346,6 +257,9 @@ class AsyncGatewayHTTPServer:
             "httpd.requests_inline"
         )
         self._gateway.metrics.gauge("httpd.active_connections")
+        self._shed_bytes = shed_response_bytes(
+            self._gateway.config.retry_after_seconds
+        )
         self._encode_cache.clear()
         # Bind synchronously so `address` is concrete before start() returns
         # (and clients can already queue in the backlog).
@@ -378,11 +292,11 @@ class AsyncGatewayHTTPServer:
     def stop(self) -> dict:
         """Graceful drain, then shut the gateway down (final checkpoint).
 
-        Same sequence and statistics as the threaded server: stop
-        accepting; wait for in-flight requests (bounded by
+        Sequence: stop accepting; wait for in-flight requests (bounded by
         ``drain_timeout_seconds``); close remaining keep-alive
         connections; shed the kernel accept queue; close the listener;
-        stop the gateway (final checkpoint).
+        stop the gateway — whose shutdown checkpoint therefore observes
+        every admitted request. Returns drain statistics.
         """
         loop, thread = self._loop, self._thread
         if loop is None:
@@ -477,8 +391,7 @@ class AsyncGatewayHTTPServer:
         One sweep for all connections instead of one timer per read: a
         dead peer is closed within ``request_timeout_seconds`` plus one
         sweep interval. Connections with an offloaded request in flight
-        are not reaped — the timeout covers *reads*, as in the threaded
-        server.
+        are not reaped — the timeout covers *reads*, not handler time.
         """
         timeout = self._cfg.request_timeout_seconds
         interval = min(max(timeout / 4.0, 0.05), 1.0)
@@ -501,28 +414,16 @@ class AsyncGatewayHTTPServer:
     def _shed(self, sock: socket.socket) -> None:
         """Canned 429 for a connection beyond the cap (or in the drain)."""
         self._gateway.metrics.counter("httpd.connections_shed").inc()
-        task = asyncio.get_running_loop().create_task(self._shed_task(sock))
+        task = asyncio.get_running_loop().create_task(
+            shed_connection(sock, self._shed_bytes)
+        )
         self._shed_tasks.add(task)
         task.add_done_callback(self._shed_tasks.discard)
 
-    async def _shed_task(self, sock: socket.socket) -> None:
-        # Same no-RST sequence as httpcore.shed_socket, but cooperative:
-        # send, half-close, drain the unread request bytes to EOF, close —
-        # closing with unread data would RST the in-flight 429 away.
-        loop = asyncio.get_running_loop()
-        try:
-            await loop.sock_sendall(sock, shed_response_bytes(self._gateway))
-            sock.shutdown(socket.SHUT_WR)
-            while True:
-                data = await asyncio.wait_for(
-                    loop.sock_recv(sock, 4096), timeout=1.0
-                )
-                if not data:
-                    return
-        except (OSError, asyncio.TimeoutError):
-            pass  # peer already gone or stalled past the linger budget
-        finally:
-            sock.close()
+    def _count_connections(self) -> None:
+        self._gateway.metrics.gauge("httpd.active_connections").set(
+            len(self._connections)
+        )
 
     # -- drain ----------------------------------------------------------------
 
@@ -570,9 +471,7 @@ class AsyncGatewayHTTPServer:
                 task.cancel()
         # One tick so closed transports run their close callbacks.
         await asyncio.sleep(0)
-        swept = sweep_backlog(
-            self._listener, shed_response_bytes(self._gateway)
-        )
+        swept = await sweep_backlog(self._listener, self._shed_bytes)
         if swept:
             self._gateway.metrics.counter("httpd.connections_shed").inc(swept)
         return {"drained": drained, "forced_close": forced, "backlog_shed": swept}

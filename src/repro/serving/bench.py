@@ -54,25 +54,21 @@ import numpy as np
 from repro.cloud.api import EC2Api
 from repro.core.drafts import DraftsPredictor
 from repro.experiments.common import scaled_universe
-from repro.market.universe import Universe
 from repro.service.drafts_service import DraftsService, ServiceConfig
 from repro.service.rest import RestRouter
-from repro.serving.gateway import GatewayConfig, ServingGateway
+from repro.serving.gateway import GatewayConfig, ServingGateway, warm_gateway
 from repro.serving.loadgen import (
     LoadgenConfig,
     LoadGenerator,
     predictable_keys,
 )
-from repro.serving.store import CurveKey
 from repro.util.tables import format_table
 
 __all__ = [
-    "FrontendBenchConfig",
     "ScalingBenchConfig",
     "ServingBenchConfig",
     "SloBenchConfig",
     "format_serving_report",
-    "run_frontend_benchmark",
     "run_refresh_benchmark",
     "run_scaling_benchmark",
     "run_serving_benchmark",
@@ -132,13 +128,6 @@ class _SlowApi:
         return self._api.describe_spot_price_history(
             instance_type, zone, now, since
         )
-
-
-def _serving_keys(
-    universe: Universe, n_keys: int, probability: float
-) -> tuple[list[CurveKey], float]:
-    """Predictable (type, zone, p) keys plus a warm simulation instant."""
-    return predictable_keys(universe, n_keys, probability)
 
 
 def _run_closed_loop(get, requests, n_threads: int):
@@ -473,7 +462,7 @@ def run_refresh_benchmark(config: ServingBenchConfig | None = None) -> dict:
     """The refresh phase alone (the BENCH_serving.json trajectory hook)."""
     cfg = config or ServingBenchConfig()
     universe = scaled_universe(cfg.scale)
-    keys, start_now = _serving_keys(universe, cfg.n_keys, probability=0.95)
+    keys, start_now = predictable_keys(universe, cfg.n_keys, 0.95)
     return {
         "keys": ["{}@{}".format(k[0], k[1]) for k in keys],
         "refresh_steps": cfg.refresh_steps,
@@ -528,24 +517,6 @@ class SloBenchConfig:
             raise ValueError("rates must be positive")
 
 
-def _slo_gateway(universe, keys, start_now: float) -> ServingGateway:
-    """A gateway warmed over ``keys`` so the replay measures serving, not
-    first-touch curve fitting."""
-    probability = keys[0][2]
-    gateway = ServingGateway(
-        DraftsService(
-            EC2Api(universe), ServiceConfig(probabilities=(probability,))
-        ),
-        GatewayConfig(max_inflight=256),
-    )
-    for key in keys:
-        gateway.get(
-            f"/predictions/{key[0]}/{key[1]}"
-            f"?probability={probability}&now={start_now}"
-        )
-    return gateway
-
-
 def run_slo_benchmark(config: SloBenchConfig | None = None) -> dict:
     """Open-loop socket replay with tail SLOs, plus the hedging A/B.
 
@@ -559,19 +530,24 @@ def run_slo_benchmark(config: SloBenchConfig | None = None) -> dict:
        (:class:`~repro.serving.chaos.ReplaySpiker`): one unhedged run,
        one hedged run. Hedging must cut the spike out of the tail —
        ``hedged p99.9 < unhedged p99.9`` is the acceptance check
-       (``ok`` in the returned dict).
+       (``ok`` in the returned dict). The armed hook sends every request
+       to the server's executor, so the executor gets one thread per
+       replay worker: a stall then delays only the request it hit, the
+       replica-local slowness hedging is meant to escape.
     """
+    from repro.serving.aiohttpd import AsyncGatewayHTTPServer
     from repro.serving.chaos import FaultConfig, ReplaySpiker
-    from repro.serving.httpd import GatewayHTTPServer, HttpdConfig
+    from repro.serving.httpd import HttpdConfig
     from repro.serving.loadgen import DiurnalEnvelope
     from repro.serving.replay import ReplayConfig, Replayer
 
     cfg = config or SloBenchConfig()
     universe = scaled_universe(cfg.scale)
-    keys, start_now = _serving_keys(universe, cfg.n_keys, probability=0.95)
+    keys, start_now = predictable_keys(universe, cfg.n_keys, 0.95)
+    combos = [key[:2] for key in keys]
 
-    server = GatewayHTTPServer(
-        _slo_gateway(universe, keys, start_now),
+    server = AsyncGatewayHTTPServer(
+        warm_gateway(universe, combos, start_now, 0.95),
         HttpdConfig(max_connections=256),
     )
     server.start()
@@ -605,9 +581,12 @@ def run_slo_benchmark(config: SloBenchConfig | None = None) -> dict:
                 seed=cfg.seed,
             )
         )
-        demo_server = GatewayHTTPServer(
-            _slo_gateway(universe, keys, start_now),
-            HttpdConfig(max_connections=256),
+        demo_server = AsyncGatewayHTTPServer(
+            warm_gateway(universe, combos, start_now, 0.95),
+            HttpdConfig(
+                max_connections=256,
+                executor_workers=max(1, cfg.concurrency),
+            ),
             spike=spiker,
         )
         demo_server.start()
@@ -649,59 +628,16 @@ def run_slo_benchmark(config: SloBenchConfig | None = None) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class FrontendBenchConfig:
-    """Shape of the threaded-vs-asyncio front-end comparison.
-
-    Both servers get the *same* replay — same seed, same offered
-    open-loop load, same key universe, same warmed gateway construction —
-    so the only variable is the HTTP front end (thread-per-connection vs
-    single event loop with executor offload).
-
-    The replay runs in ``waves``: each wave is a fresh replayer with a
-    fresh (empty) connection pool against the same running server, so
-    every wave re-pays the connection storm. That is the regime the two
-    designs actually differ in — a thread-per-connection server pays a
-    thread spawn per storm connection, the event loop pays an accept —
-    and repeating the storm also averages out the run-to-run jitter a
-    single short stream suffers on a small host.
-
-    Attributes
-    ----------
-    scale / n_keys / seed:
-        Universe preset, key-universe size, load-generator seed.
-    waves:
-        Replay repetitions; latencies aggregate across all waves.
-    n_requests / rate / warmup_requests / concurrency / timeout_seconds:
-        The open-loop replay of each wave (warmup dropped per wave).
-    max_connections / executor_workers:
-        Server knobs (``executor_workers`` only affects the asyncio
-        front end; the listen backlog is sized to ``2 * concurrency`` so
-        a storm never overflows into SYN retransmits).
-    """
-
-    scale: str = "test"
-    n_keys: int = 4
-    seed: int = 7
-    waves: int = 4
-    n_requests: int = 2000
-    rate: float = 12000.0
-    warmup_requests: int = 100
-    concurrency: int = 128
-    timeout_seconds: float = 5.0
-    max_connections: int = 512
-    executor_workers: int = 8
-
-
 def _replay_waves(server, keys, cfg, start_now: float) -> dict:
-    """Run ``cfg.waves`` fresh replays against a running server and
-    aggregate their measured records into one summary.
+    """Run ``cfg.waves`` fresh replays against a running server (or
+    router) and aggregate their measured records into one summary.
 
-    ``cfg`` is any config carrying the replay fields (``waves``,
+    Each wave is a fresh replayer with a fresh (empty) connection pool,
+    so every wave re-pays the connection storm and repeating it averages
+    out the run-to-run jitter a single short stream suffers on a small
+    host. ``cfg`` is any config carrying the replay fields (``waves``,
     ``n_requests``, ``rate``, ``seed``, ``warmup_requests``,
-    ``concurrency``, ``timeout_seconds``) — the front-end comparison and
-    the shard-scaling benchmark share this loop so their numbers are
-    produced by identical machinery."""
+    ``concurrency``, ``timeout_seconds``)."""
     from repro.serving.replay import ReplayConfig, Replayer
 
     class _RecordingReplayer(Replayer):
@@ -714,11 +650,10 @@ def _replay_waves(server, keys, cfg, start_now: float) -> dict:
     measured = []
     achieved_window = 0.0
     offered_window = 0.0
-    # Cycle-collector pauses land on whichever thread holds the GIL; on
-    # the event-loop front end that is the one serving thread, so GC
-    # noise hits the two designs asymmetrically. Collect between waves,
-    # keep the collector off during each measured wave (both fronts get
-    # the same treatment; one wave is under a second, the garbage fits).
+    # Cycle-collector pauses land on whichever thread holds the GIL; in an
+    # in-process server that is the one serving thread. Collect between
+    # waves, keep the collector off during each measured wave (one wave
+    # is under a second, the garbage fits).
     for wave in range(cfg.waves):
         replayer = _RecordingReplayer(
             [server.url],
@@ -772,61 +707,6 @@ def _replay_waves(server, keys, cfg, start_now: float) -> dict:
     }
 
 
-def run_frontend_benchmark(config: FrontendBenchConfig | None = None) -> dict:
-    """Threaded vs asyncio front end under the identical open-loop replay.
-
-    Returns per-front-end SLO summaries plus the acceptance arithmetic:
-    ``achieved_ratio`` (asyncio achieved throughput over threaded) and
-    ``ok`` — true when asyncio reaches >= 1.5x the threaded achieved
-    throughput at equal-or-better p99.
-    """
-    from repro.serving.aiohttpd import AsyncGatewayHTTPServer
-    from repro.serving.httpd import GatewayHTTPServer, HttpdConfig
-
-    cfg = config or FrontendBenchConfig()
-    universe = scaled_universe(cfg.scale)
-    keys, start_now = _serving_keys(universe, cfg.n_keys, probability=0.95)
-    out: dict = {
-        "keys": ["{}@{}".format(k[0], k[1]) for k in keys],
-        "offered": {
-            "waves": cfg.waves,
-            "n_requests": cfg.n_requests,
-            "rate": cfg.rate,
-            "concurrency": cfg.concurrency,
-        },
-    }
-    for label, server_cls in (
-        ("threaded", GatewayHTTPServer),
-        ("asyncio", AsyncGatewayHTTPServer),
-    ):
-        server = server_cls(
-            _slo_gateway(universe, keys, start_now),
-            HttpdConfig(
-                max_connections=cfg.max_connections,
-                backlog=2 * cfg.concurrency,
-                executor_workers=cfg.executor_workers,
-            ),
-        )
-        server.start()
-        try:
-            summary = _replay_waves(server, keys, cfg, start_now)
-        finally:
-            drain = server.stop()
-        summary["drain"] = drain
-        out[label] = summary
-    out["achieved_ratio"] = out["asyncio"]["achieved_rps"] / max(
-        out["threaded"]["achieved_rps"], 1e-9
-    )
-    out["p99_ratio"] = out["asyncio"]["p99"] / max(
-        out["threaded"]["p99"], 1e-9
-    )
-    out["ok"] = (
-        out["achieved_ratio"] >= 1.5
-        and out["asyncio"]["p99"] <= out["threaded"]["p99"]
-    )
-    return out
-
-
 @dataclass(frozen=True)
 class ScalingBenchConfig:
     """Shape of the shard-routed scaling measurement.
@@ -842,8 +722,8 @@ class ScalingBenchConfig:
     processes, so throughput can only multiply when the host has cores
     to schedule them on. With ``cpu_count >= 4`` the 4-shard deployment
     must reach >= 2x the direct baseline's achieved throughput at
-    equal-or-better p99; on smaller hosts (this repo's CI box has one
-    vCPU) the gate instead requires that routing *preserves* throughput
+    equal-or-better p99; on smaller hosts (the reference VM has two
+    vCPUs) the gate instead requires that routing *preserves* throughput
     — every shard count >= ``min_preserve_ratio`` of the direct
     baseline with a zero error rate and clean drains — so the benchmark
     stays honest instead of asserting a physically impossible speedup.
@@ -880,7 +760,7 @@ def run_scaling_benchmark(config: ScalingBenchConfig | None = None) -> dict:
 
     cfg = config or ScalingBenchConfig()
     universe = scaled_universe(cfg.scale)
-    keys, start_now = _serving_keys(universe, cfg.n_keys, probability=0.95)
+    keys, start_now = predictable_keys(universe, cfg.n_keys, 0.95)
     combos = [(k[0], k[1]) for k in keys]
     cpu_count = len(os.sched_getaffinity(0))
     out: dict = {
@@ -895,7 +775,7 @@ def run_scaling_benchmark(config: ScalingBenchConfig | None = None) -> dict:
     }
 
     server = AsyncGatewayHTTPServer(
-        _slo_gateway(universe, keys, start_now),
+        warm_gateway(universe, combos, start_now, 0.95),
         HttpdConfig(
             max_connections=cfg.max_connections,
             backlog=2 * cfg.concurrency,
@@ -952,7 +832,7 @@ def run_scaling_benchmark(config: ScalingBenchConfig | None = None) -> dict:
         )
     else:
         out["gate"] = (
-            f"single-core ({cpu_count} cpu): routing preserves >= "
+            f"under 4 cores ({cpu_count} cpu): routing preserves >= "
             f"{cfg.min_preserve_ratio:.0%} of direct rps, zero errors, "
             "clean drains"
         )
@@ -971,7 +851,7 @@ def run_serving_benchmark(config: ServingBenchConfig | None = None) -> dict:
     """Run all four phases; returns a JSON-ready results dict."""
     cfg = config or ServingBenchConfig()
     universe = scaled_universe(cfg.scale)
-    keys, start_now = _serving_keys(universe, cfg.n_keys, probability=0.95)
+    keys, start_now = predictable_keys(universe, cfg.n_keys, 0.95)
     return {
         "keys": ["{}@{}".format(k[0], k[1]) for k in keys],
         "latency": _latency_phase(cfg, universe, keys, start_now),

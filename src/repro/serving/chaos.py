@@ -162,11 +162,15 @@ class FaultyApi:
 class ReplaySpiker:
     """Seeded request-level latency spikes for the socket server.
 
-    Mounts on :class:`repro.serving.httpd.GatewayHTTPServer` as the
-    pre-dispatch ``spike`` hook: each incoming request stalls for
+    Mounts on :class:`repro.serving.aiohttpd.AsyncGatewayHTTPServer` as
+    the pre-dispatch ``spike`` hook: each incoming request stalls for
     ``spike_seconds`` with probability ``spike_rate`` (seeded, so the
     expected spike count of a run is reproducible; which requests get hit
-    depends on handler-thread arrival order). With ``spare_hedges=True``
+    depends on executor-thread arrival order). An armed hook sends every
+    request to the server's executor, which is sized to the replay
+    concurrency so a stall holds up only the request it hit (with fewer
+    threads, overlapping stalls queue unrelated requests behind them and
+    the slowness stops being replica-local). With ``spare_hedges=True``
     (the default) requests carrying the replayer's hedge marker are never
     spiked — modelling *replica-local* slowness, the regime hedging is
     designed for (Dean & Barroso): the stall afflicts one copy of a
@@ -290,11 +294,6 @@ class ChaosConfig:
             raise ValueError("invalidate_every must be >= 1 or None")
 
 
-def _serving_keys(universe, n_keys: int, probability: float):
-    """Predictable (type, zone, p) keys plus a warm simulation instant."""
-    return predictable_keys(universe, n_keys, probability)
-
-
 def _check_conservation(counters: dict) -> dict:
     served = (
         counters["gateway.hits"]
@@ -367,7 +366,7 @@ def run_chaos(config: ChaosConfig | None = None) -> dict:
 
     cfg = config or ChaosConfig()
     universe = scaled_universe(cfg.scale)
-    keys, start_now = _serving_keys(universe, cfg.n_keys, probability=0.95)
+    keys, start_now = predictable_keys(universe, cfg.n_keys, 0.95)
     clock = ManualClock()
     fault_cfg = FaultConfig(
         error_rate=cfg.error_rate,

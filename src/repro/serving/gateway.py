@@ -33,7 +33,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from urllib.parse import parse_qs, urlsplit
 
-from repro.service.drafts_service import DraftsService
+from repro.cloud.api import EC2Api
+from repro.service.drafts_service import DraftsService, ServiceConfig
 from repro.service.persistence import MANIFEST_NAME
 from repro.service.rest import Response, parse_floats
 from repro.serving.clock import Clock, SystemClock
@@ -41,7 +42,7 @@ from repro.serving.metrics import MetricsRegistry
 from repro.serving.refresher import BackgroundRefresher, SingleFlight
 from repro.serving.store import CurveKey, EntryState, ShardedCurveStore
 
-__all__ = ["GatewayConfig", "ServingGateway"]
+__all__ = ["GatewayConfig", "ServingGateway", "warm_gateway"]
 
 
 @dataclass(frozen=True)
@@ -52,8 +53,9 @@ class GatewayConfig:
     ----------
     max_inflight:
         Admission bound: concurrent curve requests beyond this are shed
-        with 429 (queue-depth load shedding — in this threaded model the
-        inflight count *is* the queue depth).
+        with 429 (queue-depth load shedding — every request inside the
+        gateway holds a caller's thread, so the inflight count *is* the
+        queue depth).
     retry_after_seconds:
         The ``retry_after`` hint attached to shed responses.
     deadline_seconds:
@@ -740,3 +742,35 @@ class ServingGateway:
         }
         body["service"] = self._service.cache_info()
         return body
+
+
+def warm_gateway(
+    universe,
+    combos,
+    now: float,
+    probability: float,
+    *,
+    config: GatewayConfig | None = None,
+    identity: dict | None = None,
+) -> ServingGateway:
+    """A gateway over ``universe`` that answers ``combos`` from memory.
+
+    Batch-fits every ``(instance_type, zone)`` in ``combos`` at ``now``
+    (:meth:`~repro.service.drafts_service.DraftsService.warm_start`) and
+    primes the curve store with one ``/predictions`` read each, so a
+    replay or a socket client measures serving, not first-touch fitting.
+    ``config`` defaults to ``GatewayConfig(max_inflight=256)``.
+    """
+    service = DraftsService(
+        EC2Api(universe), ServiceConfig(probabilities=(probability,))
+    )
+    service.warm_start(list(combos), now)
+    gateway = ServingGateway(
+        service, config or GatewayConfig(max_inflight=256), identity=identity
+    )
+    for instance_type, zone in combos:
+        gateway.get(
+            f"/predictions/{instance_type}/{zone}"
+            f"?probability={probability}&now={now}"
+        )
+    return gateway

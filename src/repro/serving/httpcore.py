@@ -1,36 +1,39 @@
-"""Transport-agnostic core shared by the threaded and asyncio servers.
+"""The HTTP/1.1 core shared by the gateway server and the shard router.
 
-Both HTTP front ends (:mod:`repro.serving.httpd`, thread-per-connection;
-:mod:`repro.serving.aiohttpd`, single-threaded event loop) mount the same
-gateway and must answer byte-identically on every status path. Everything
-that defines those bytes — request dispatch, the canned connection-shed
-429, header derivation, the drain-window backlog sweep — lives here, so
-"parity" is one code path instead of two copies that can drift.
+Both asyncio front ends — :mod:`repro.serving.aiohttpd` (one gateway
+behind a socket) and :mod:`repro.serving.router` (the consistent-hash
+tier in front of N of them) — speak the same wire: the same request-head
+loop, the same error and shed bytes, the same drain sweep. Everything
+that defines those bytes lives here, so "routed bytes equal direct
+bytes" is one code path instead of two copies that can drift.
 
 Contents:
 
+* :class:`HeadLoopProtocol` — one keep-alive client connection: buffer
+  bytes, parse heads, answer in order with at most one request in
+  flight; 400 on a malformed head, 501 on a non-GET, close on an
+  oversized head; reading pauses while a request is in flight and the
+  buffer holds more than one head's worth of bytes;
 * :func:`dispatch` — the gateway call with the pre-dispatch spike hook
   and the answer-on-the-wire exception guard (unexpected errors become a
   500 body, never a dropped connection);
 * :func:`retry_after_header` — RFC 9110 integer ``Retry-After`` seconds
   derived from a response body's ``retry_after`` hint;
-* :func:`shed_body` / :func:`shed_response_bytes` — the canned 429 a
-  server writes raw (no handler machinery) when a connection is shed at
-  the accept gate; one builder, so threaded and asyncio shed bytes are
-  identical;
-* :func:`render_response` — a full HTTP/1.1 response head + payload for
-  code paths that write the wire directly (the asyncio server, raw
-  sheds);
+* :func:`render_response` / :func:`body_response` / :func:`canned_response`
+  — a full HTTP/1.1 response head + payload as wire bytes;
+* :func:`shed_response_bytes` / :func:`shed_connection` — the canned 429
+  written raw (no head parsed) to a connection shed at the accept gate,
+  and the no-RST sequence that delivers it;
 * :func:`sweep_backlog` — accept-and-shed every connection sitting in
   the kernel accept queue, closing the drain race where a client that
   connected after the stop-accepting gate would otherwise be reset by
   the listener's close instead of receiving the canned 429;
-* :class:`Headers` / :func:`parse_head` — the minimal HTTP/1.1 request
-  head parser shared by the asyncio front end and the shard router.
+* :class:`Headers` / :func:`parse_head` — the minimal request-head parser.
 """
 
 from __future__ import annotations
 
+import asyncio
 import math
 import socket
 from http.client import responses as _REASONS
@@ -42,17 +45,17 @@ __all__ = [
     "MAX_HEAD_BYTES",
     "SERVER_NAME",
     "BadRequest",
+    "HeadLoopProtocol",
     "Headers",
+    "body_response",
     "canned_response",
     "dispatch",
     "parse_head",
     "reason_phrase",
     "render_response",
     "retry_after_header",
-    "shed_body",
+    "shed_connection",
     "shed_response_bytes",
-    "shed_response_bytes_for",
-    "shed_socket",
     "sweep_backlog",
 ]
 
@@ -144,12 +147,7 @@ def render_response(
     retry_after: int | None = None,
     close: bool = False,
 ) -> bytes:
-    """A complete HTTP/1.1 response (head + payload) as wire bytes.
-
-    Used wherever a server writes the socket directly instead of going
-    through handler machinery: the asyncio front end for every response,
-    both front ends for the canned accept-gate shed.
-    """
+    """A complete HTTP/1.1 response (head + payload) as wire bytes."""
     head = (
         f"HTTP/1.1 {status} {reason_phrase(status)}\r\n"
         f"Server: {SERVER_NAME}\r\n"
@@ -161,6 +159,17 @@ def render_response(
     if close:
         head += "Connection: close\r\n"
     return head.encode("ascii") + b"\r\n" + payload
+
+
+def body_response(status: int, body: dict, *, close: bool = False) -> bytes:
+    """``body`` JSON-encoded into a complete response, with the
+    ``Retry-After`` header derived from its ``retry_after`` hint."""
+    return render_response(
+        status,
+        encode_body(body),
+        retry_after=retry_after_header(body),
+        close=close,
+    )
 
 
 def canned_response(
@@ -181,54 +190,21 @@ def canned_response(
     body: dict = {"error": error}
     if retry_after is not None:
         body["retry_after"] = float(retry_after)
-    return render_response(
-        status,
-        encode_body(body),
-        retry_after=retry_after_header(body),
-        close=close,
-    )
+    return body_response(status, body, close=close)
 
 
-def shed_body(gateway) -> dict:
-    """The canned connection-shed 429 body (same shape as handler sheds:
-    an ``error`` string plus a float ``retry_after`` hint)."""
-    retry = float(max(1, math.ceil(gateway.config.retry_after_seconds)))
-    return {
-        "error": "server connection limit reached; connection shed",
-        "retry_after": retry,
-    }
-
-
-def shed_response_bytes(gateway) -> bytes:
-    """The full canned 429 both servers write for a shed connection."""
-    body = shed_body(gateway)
-    return render_response(
+def shed_response_bytes(retry_after_seconds: float) -> bytes:
+    """The canned 429 + ``Connection: close`` for a connection shed at the
+    accept gate (same body shape as the gateway's admission 429)."""
+    return canned_response(
         429,
-        encode_body(body),
-        retry_after=retry_after_header(body),
+        "server connection limit reached; connection shed",
+        retry_after=max(1, math.ceil(retry_after_seconds)),
         close=True,
     )
 
 
-def shed_response_bytes_for(retry_after_seconds: float) -> bytes:
-    """The canned connection-shed 429 for a front tier without a gateway
-    (the shard router), byte-compatible with :func:`shed_response_bytes`."""
-    retry = float(max(1, math.ceil(retry_after_seconds)))
-    body = {
-        "error": "server connection limit reached; connection shed",
-        "retry_after": retry,
-    }
-    return render_response(
-        429,
-        encode_body(body),
-        retry_after=retry_after_header(body),
-        close=True,
-    )
-
-
-def shed_socket(
-    sock: socket.socket, shed_bytes: bytes, *, timeout: float = 1.0
-) -> None:
+async def shed_connection(sock: socket.socket, shed_bytes: bytes) -> None:
     """Write the canned shed response and close *without a reset*.
 
     The shed happens before the server reads the request, so the client's
@@ -236,41 +212,155 @@ def shed_socket(
     socket with unread data makes the kernel send RST, which can destroy
     the in-flight 429 before the client reads it. Sequence instead: send
     the response, half-close (FIN tells the client no more is coming),
-    then drain the peer's bytes until EOF (bounded by ``timeout``), and
+    then drain the peer's bytes until EOF (bounded by one second), and
     only then close. Best-effort throughout — a vanished peer is fine.
     """
+    loop = asyncio.get_running_loop()
     try:
-        sock.setblocking(True)
-        sock.settimeout(timeout)
-        sock.sendall(shed_bytes)
+        sock.setblocking(False)  # a greedy accept() returns blocking sockets
+        await loop.sock_sendall(sock, shed_bytes)
         sock.shutdown(socket.SHUT_WR)
-        while sock.recv(4096):
-            pass
-    except OSError:
+        while True:
+            data = await asyncio.wait_for(loop.sock_recv(sock, 4096), timeout=1.0)
+            if not data:
+                return
+    except (OSError, asyncio.TimeoutError):
         pass  # peer already gone or stalled past the linger budget
     finally:
-        try:
-            sock.close()
-        except OSError:
-            pass
+        sock.close()
 
 
-def sweep_backlog(listener: socket.socket, shed_bytes: bytes) -> int:
+async def sweep_backlog(listener: socket.socket, shed_bytes: bytes) -> int:
     """Accept-and-shed everything queued on ``listener``; return the count.
 
     Closes the drain race: a client whose TCP handshake completed in the
     kernel backlog after the stop-accepting gate would be reset when the
     listening socket closes. Sweeping immediately before the close hands
     each of those connections the canned 429 + ``Connection: close``
-    instead. Best-effort by design — a peer that already vanished is
-    skipped, and the sweep stops at the first empty accept.
+    instead. The listener must be non-blocking; the sweep stops at the
+    first empty accept.
     """
-    shed = 0
+    sheds = []
     while True:
         try:
-            listener.settimeout(0)
             sock, _ = listener.accept()
-        except (BlockingIOError, socket.timeout, OSError):
-            return shed
-        shed_socket(sock, shed_bytes)
-        shed += 1
+        except OSError:  # BlockingIOError: the queue is empty
+            break
+        sheds.append(shed_connection(sock, shed_bytes))
+    await asyncio.gather(*sheds)
+    return len(sheds)
+
+
+class HeadLoopProtocol(asyncio.Protocol):
+    """One client keep-alive connection: buffer bytes, parse heads, answer.
+
+    Requests are answered in order, at most one in flight per connection.
+    :meth:`serve` either answers a request on the spot (returns ``True``
+    to keep parsing) or marks the connection ``busy`` and returns
+    ``False``; whatever settles the in-flight request later calls
+    :meth:`answer`, which writes the response and resumes parsing from
+    the buffer. While a request is in flight the buffer only grows, so
+    reading pauses once it holds more than :data:`MAX_HEAD_BYTES` and
+    resumes when the answer is written: a client pipelining behind a
+    slow request costs at most one head plus one transport read.
+
+    The owning server provides ``_loop``, ``_connections``, ``_draining``
+    and a ``_requests_total`` counter.
+    """
+
+    __slots__ = ("server", "transport", "buffer", "busy", "paused", "last_activity")
+
+    def __init__(self, server) -> None:
+        self.server = server
+        self.transport: asyncio.Transport | None = None
+        self.buffer = bytearray()
+        self.busy = False  # a request is in flight
+        self.paused = False  # reading paused behind the in-flight request
+        self.last_activity = 0.0
+
+    # -- transport callbacks ---------------------------------------------------
+
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+        self.last_activity = self.server._loop.time()
+
+    def connection_lost(self, exc) -> None:
+        self.server._connections.discard(self)
+
+    def eof_received(self) -> bool:
+        return False  # peer finished sending; close our side too
+
+    def data_received(self, data: bytes) -> None:
+        self.last_activity = self.server._loop.time()
+        self.buffer += data
+        if not self.busy:
+            self._process()
+        self._throttle()
+
+    # -- request loop ----------------------------------------------------------
+
+    def _process(self) -> None:
+        """Answer every complete head in the buffer, in order."""
+        while True:
+            index = self.buffer.find(b"\r\n\r\n")
+            if index < 0:
+                if len(self.buffer) > MAX_HEAD_BYTES:
+                    self.transport.close()  # oversized head; no valid answer
+                return
+            head = bytes(self.buffer[:index])
+            del self.buffer[: index + 4]
+            try:
+                method, path, headers = parse_head(head)
+            except BadRequest as exc:
+                self.write_body(400, {"error": str(exc)}, close=True)
+                return
+            if method != "GET":
+                self.write_body(
+                    501, {"error": f"unsupported method {method!r}"}, close=True
+                )
+                return
+            server = self.server
+            close = (
+                server._draining
+                or headers.get("Connection", "").lower() == "close"
+            )
+            server._requests_total.inc()
+            if not self.serve(path, headers, close):
+                return
+
+    def _throttle(self) -> None:
+        over = self.busy and len(self.buffer) > MAX_HEAD_BYTES
+        if over != self.paused:
+            self.paused = over
+            if over:
+                self.transport.pause_reading()
+            else:
+                self.transport.resume_reading()
+
+    def serve(self, path: str, headers: Headers, close: bool) -> bool:
+        """Answer one GET; ``False`` stops the loop (request in flight —
+        ``busy`` set — or connection closing)."""
+        raise NotImplementedError
+
+    # -- writes ----------------------------------------------------------------
+
+    def write(self, wire: bytes, close: bool) -> None:
+        self.transport.write(wire)
+        if close:
+            self.transport.close()
+
+    def write_body(self, status: int, body: dict, *, close: bool) -> None:
+        self.write(body_response(status, body, close=close), close)
+
+    def answer(self, wire: bytes, close: bool) -> None:
+        """Settle the in-flight request with ``wire``, then parse on."""
+        transport = self.transport
+        if transport is None or transport.is_closing():
+            return  # peer went away while the request was in flight
+        self.write(wire, close)
+        if close:
+            return
+        self.busy = False
+        self.last_activity = self.server._loop.time()
+        self._process()  # pipelined heads may already be buffered
+        self._throttle()

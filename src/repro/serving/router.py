@@ -59,13 +59,12 @@ from dataclasses import dataclass
 
 from repro.service.rest import encode_body
 from repro.serving.httpcore import (
-    MAX_HEAD_BYTES,
-    BadRequest,
+    HeadLoopProtocol,
+    body_response,
     canned_response,
-    parse_head,
     render_response,
-    retry_after_header,
-    shed_response_bytes_for,
+    shed_connection,
+    shed_response_bytes,
     sweep_backlog,
 )
 from repro.serving.metrics import MetricsRegistry
@@ -575,69 +574,18 @@ class _Scatter:
         self.remaining = n
 
 
-class _RouterProtocol(asyncio.Protocol):
+class _RouterProtocol(HeadLoopProtocol):
     """One client keep-alive connection to the router.
 
-    Same shape as the shard worker's protocol: buffer bytes, parse heads,
-    answer in order, at most one request in flight per connection
-    (``busy``). Proxied requests park the connection until the upstream
+    The shard worker's head loop (:class:`~repro.serving.httpcore.HeadLoopProtocol`):
+    proxied requests park the connection ``busy`` until the upstream
     answer (or a canned router failure) arrives.
     """
 
-    __slots__ = ("server", "transport", "buffer", "busy", "last_activity")
+    __slots__ = ()
 
-    def __init__(self, server: "RouterServer") -> None:
-        self.server = server
-        self.transport: asyncio.Transport | None = None
-        self.buffer = bytearray()
-        self.busy = False
-        self.last_activity = 0.0
-
-    def connection_made(self, transport) -> None:
-        self.transport = transport
-        self.last_activity = self.server._loop.time()
-
-    def connection_lost(self, exc) -> None:
-        self.server._connections.discard(self)
-
-    def eof_received(self) -> bool:
-        return False
-
-    def data_received(self, data: bytes) -> None:
-        self.last_activity = self.server._loop.time()
-        self.buffer += data
-        if not self.busy:
-            self._process()
-
-    def _process(self) -> None:
-        while True:
-            index = self.buffer.find(b"\r\n\r\n")
-            if index < 0:
-                if len(self.buffer) > MAX_HEAD_BYTES:
-                    self.transport.close()
-                return
-            head = bytes(self.buffer[:index])
-            del self.buffer[: index + 4]
-            if not self._serve(head):
-                return
-
-    def _serve(self, head: bytes) -> bool:
+    def serve(self, path: str, headers, close: bool) -> bool:
         server = self.server
-        try:
-            method, path, headers = parse_head(head)
-        except BadRequest as exc:
-            self._write_body(400, {"error": str(exc)}, close=True)
-            return False
-        if method != "GET":
-            self._write_body(
-                501, {"error": f"unsupported method {method!r}"}, close=True
-            )
-            return False
-        close = (
-            server._draining
-            or headers.get("Connection", "").lower() == "close"
-        )
-        server._requests_total.inc()
         decision = server._route(path)
         kind = decision[0]
         if kind == "proxy":
@@ -655,35 +603,19 @@ class _RouterProtocol(asyncio.Protocol):
             server._scatter(self, path, decision[1], decision[2], close)
             return False
         if kind == "healthz":
-            self._write_body(200, server._healthz_body(), close=close)
+            self.write_body(200, server._healthz_body(), close=close)
         elif kind == "metrics":
-            self._write_body(200, server._metrics_body(), close=close)
+            self.write_body(200, server._metrics_body(), close=close)
         else:  # not found
-            self._write_body(
+            self.write_body(
                 404, {"error": f"no route for {decision[1]!r}"}, close=close
             )
         return not close
 
     # -- completions -----------------------------------------------------------
 
-    def _write_body(self, status: int, body: dict, *, close: bool) -> None:
-        payload = encode_body(body)
-        self.transport.write(
-            render_response(
-                status,
-                payload,
-                retry_after=retry_after_header(body),
-                close=close,
-            )
-        )
-        if close:
-            self.transport.close()
-
     def finish_raw(self, raw: bytes, close: bool) -> None:
         """Settle the in-flight request with a complete wire response."""
-        transport = self.transport
-        if transport is None or transport.is_closing():
-            return  # peer went away while the shard answered
         head_end = raw.find(b"\r\n\r\n")
         upstream_close = b"\r\nconnection: close" in raw[:head_end].lower()
         if close and not upstream_close:
@@ -692,25 +624,11 @@ class _RouterProtocol(asyncio.Protocol):
                 + b"Connection: close\r\n"
                 + raw[head_end + 2 :]
             )
-        transport.write(raw)
-        if close or upstream_close:
-            transport.close()
-            return
-        self.busy = False
-        self.last_activity = self.server._loop.time()
-        self._process()
+        self.answer(raw, close or upstream_close)
 
     def finish_body(self, status: int, body: dict, close: bool) -> None:
         """Settle the in-flight request with a router-built body."""
-        transport = self.transport
-        if transport is None or transport.is_closing():
-            return
-        self._write_body(status, body, close=close)
-        if close:
-            return
-        self.busy = False
-        self.last_activity = self.server._loop.time()
-        self._process()
+        self.answer(body_response(status, body, close=close), close)
 
 
 #: Router-local failure bodies, shaped like the gateway's error bodies.
@@ -768,9 +686,7 @@ class RouterServer:
         # path -> routing decision; path -> (token, merged response).
         self._route_cache: dict[str, tuple] = {}
         self._merge_cache: dict[str, tuple[tuple, bytes]] = {}
-        self._shed_bytes = shed_response_bytes_for(
-            self._cfg.retry_after_seconds
-        )
+        self._shed_bytes = shed_response_bytes(self._cfg.retry_after_seconds)
         self._requests_total = self.metrics.counter("router.requests")
         for name in (
             "router.proxied",
@@ -886,7 +802,7 @@ class RouterServer:
             len(self._connections) >= self._cfg.max_connections
         ):
             self._counter("router.connections_shed").inc()
-            task = loop.create_task(self._shed_task(sock))
+            task = loop.create_task(shed_connection(sock, self._shed_bytes))
             self._shed_tasks.add(task)
             task.add_done_callback(self._shed_tasks.discard)
             return
@@ -911,22 +827,6 @@ class RouterServer:
             await loop.connect_accepted_socket(lambda: protocol, sock)
         except OSError:
             self._connections.discard(protocol)
-            sock.close()
-
-    async def _shed_task(self, sock: socket.socket) -> None:
-        loop = asyncio.get_running_loop()
-        try:
-            await loop.sock_sendall(sock, self._shed_bytes)
-            sock.shutdown(socket.SHUT_WR)
-            while True:
-                data = await asyncio.wait_for(
-                    loop.sock_recv(sock, 4096), timeout=1.0
-                )
-                if not data:
-                    return
-        except (OSError, asyncio.TimeoutError):
-            pass
-        finally:
             sock.close()
 
     async def _reap(self) -> None:
@@ -1132,7 +1032,7 @@ class RouterServer:
             for task in list(self._shed_tasks):
                 task.cancel()
         await asyncio.sleep(0)
-        swept = sweep_backlog(self._listener, self._shed_bytes)
+        swept = await sweep_backlog(self._listener, self._shed_bytes)
         if swept:
             self._counter("router.connections_shed").inc(swept)
         return {"drained": drained, "forced_close": forced, "backlog_shed": swept}

@@ -1,6 +1,8 @@
 """Socket-server tests: parity with the in-process gateway, keep-alive,
-connection shedding, graceful drain — parametrised over the threaded and
-asyncio front ends, which must be wire-indistinguishable."""
+connection shedding, graceful drain, the buffer cap behind an in-flight
+request, and raw wire cases (malformed, non-GET, oversized and pipelined
+requests) that the gateway server and the shard router must answer with
+identical bytes."""
 
 from __future__ import annotations
 
@@ -8,6 +10,7 @@ import asyncio
 import json
 import socket
 import threading
+import time
 from http.client import HTTPConnection
 from pathlib import Path
 
@@ -18,20 +21,20 @@ from repro.experiments.common import scaled_universe
 from repro.service.drafts_service import DraftsService, ServiceConfig
 from repro.service.rest import encode_body
 from repro.serving.aiohttpd import AsyncGatewayHTTPServer
-from repro.serving.gateway import GatewayConfig, ServingGateway
-from repro.serving.httpcore import shed_response_bytes
-from repro.serving.httpd import GatewayHTTPServer, HttpdConfig
+from repro.serving.gateway import GatewayConfig, ServingGateway, warm_gateway
+from repro.serving.httpcore import MAX_HEAD_BYTES, shed_response_bytes
+from repro.serving.httpd import HttpdConfig
 from repro.serving.loadgen import predictable_keys
+from repro.serving.router import Partition, RouterConfig, RouterServer
 
-SERVER_KINDS = {
-    "threaded": GatewayHTTPServer,
-    "asyncio": AsyncGatewayHTTPServer,
-}
+#: The most one asyncio socket-transport read delivers.
+TRANSPORT_READ_BYTES = 256 * 1024
 
 
-@pytest.fixture(params=sorted(SERVER_KINDS))
+@pytest.fixture(params=["asyncio"])
 def server_cls(request):
-    return SERVER_KINDS[request.param]
+    # One server class remains; the parameter keeps these tests' ids.
+    return AsyncGatewayHTTPServer
 
 
 @pytest.fixture(scope="module")
@@ -75,12 +78,6 @@ def _stop_accepting(server) -> None:
     """Put ``server`` exactly in the drain window: the stop-accepting gate
     has fired, but the listener is still open and :meth:`stop` has not yet
     run — new TCP handshakes land in the kernel backlog unanswered."""
-    if isinstance(server, GatewayHTTPServer):
-        inner = server._server
-        with inner._state:
-            inner.draining = True
-        inner.shutdown()  # accept loop exits; listener stays open
-        return
 
     async def gate() -> None:
         server._draining = True
@@ -105,6 +102,78 @@ def _server_side_nodelay(server) -> list[int]:
         ]
 
     return asyncio.run_coroutine_threadsafe(read(), server._loop).result()
+
+
+def _request(url: str, extra: bytes = b"") -> bytes:
+    return f"GET {url} HTTP/1.1\r\nHost: t\r\n".encode() + extra + b"\r\n"
+
+
+def _read_response(reader) -> bytes:
+    """One raw response (head + ``Content-Length`` body) off ``reader``;
+    whatever arrived before EOF when the server closes instead."""
+    head = b""
+    while not head.endswith(b"\r\n\r\n"):
+        line = reader.readline()
+        if not line:
+            return head
+        head += line
+    length = 0
+    for line in head.split(b"\r\n"):
+        name, _, value = line.partition(b":")
+        if name.lower() == b"content-length":
+            length = int(value)
+    return head + reader.read(length)
+
+
+def _status(response: bytes) -> int:
+    return int(response.split(b" ", 2)[1])
+
+
+def _buffer_peak(front) -> int:
+    """The largest client-connection buffer on ``front``, polled until it
+    holds steady (the client's stream absorbed, or blocked by the server)."""
+
+    async def largest() -> int:
+        return max((len(p.buffer) for p in front._connections), default=0)
+
+    peak, last, steady = 0, -1, 0
+    deadline = time.monotonic() + 20
+    while steady < 10 and time.monotonic() < deadline:
+        size = asyncio.run_coroutine_threadsafe(largest(), front._loop).result()
+        peak = max(peak, size)
+        steady = steady + 1 if size == last and size > 0 else 0
+        last = size
+        time.sleep(0.02)
+    return peak
+
+
+def _stream_behind_held_request(front, held_url, gate, entered):
+    """Send ``held_url`` (which ``gate`` holds in flight), then stream
+    >= 4 MiB of pipelined ``/healthz`` heads padded to 32 KiB on the same
+    connection. Returns the peak server-side buffer while the request was
+    held and the status of every response once it is released."""
+    filler = _request("/healthz", b"X-Pad: " + b"x" * 32768 + b"\r\n")
+    n_filler = -(-(4 << 20) // len(filler))
+    sock = socket.create_connection(front.address, timeout=30)
+    try:
+        sock.sendall(_request(held_url))
+        assert entered.wait(timeout=10)
+        sender = threading.Thread(
+            target=sock.sendall, args=(filler * n_filler,), daemon=True
+        )
+        sender.start()
+        peak = _buffer_peak(front)
+        gate.set()
+        with sock.makefile("rb") as reader:
+            statuses = [
+                _status(_read_response(reader)) for _ in range(1 + n_filler)
+            ]
+        sender.join(timeout=30)
+        assert not sender.is_alive()
+    finally:
+        gate.set()
+        sock.close()
+    return peak, statuses
 
 
 class _GatedApi:
@@ -300,7 +369,7 @@ class TestShedParity:
             assert slow["result"][0] == 200
 
         # Byte-identical to the shared canned builder.
-        assert shed_wire == shed_response_bytes(gateway)
+        assert shed_wire == shed_response_bytes(gateway.config.retry_after_seconds)
         head, _, shed_payload = shed_wire.partition(b"\r\n\r\n")
         status_line, *header_lines = head.decode("ascii").split("\r\n")
         shed_headers = {
@@ -491,4 +560,142 @@ class TestDrain:
         finally:
             raw.close()
         assert stats["backlog_shed"] == 1
-        assert wire == shed_response_bytes(gateway)
+        assert wire == shed_response_bytes(gateway.config.retry_after_seconds)
+
+
+class TestInflightBufferCap:
+    """While a request is in flight the server stops parsing, so bytes a
+    client pipelines behind it only accumulate: the server must stop
+    reading once the buffer holds more than one head, and resume when
+    the in-flight answer is written."""
+
+    def test_gateway_server_pauses_reading(self, env):
+        universe, keys, start_now = env
+        t, z, p = keys[0]
+        gate, entered = threading.Event(), threading.Event()
+        gateway = _gateway(
+            universe,
+            GatewayConfig(max_inflight=256),
+            api=_GatedApi(EC2Api(universe), gate, entered),
+        )
+        url = f"/predictions/{t}/{z}?probability={p}&now={start_now}"
+        with AsyncGatewayHTTPServer(gateway, HttpdConfig()) as server:
+            peak, statuses = _stream_behind_held_request(
+                server, url, gate, entered
+            )
+        assert peak <= MAX_HEAD_BYTES + TRANSPORT_READ_BYTES
+        assert statuses == [200] * len(statuses)
+
+    def test_router_pauses_reading(self, env):
+        universe, keys, start_now = env
+        t, z, p = keys[0]
+        gate, entered = threading.Event(), threading.Event()
+        gateway = _gateway(
+            universe,
+            GatewayConfig(max_inflight=256),
+            api=_GatedApi(EC2Api(universe), gate, entered),
+        )
+        url = f"/predictions/{t}/{z}?probability={p}&now={start_now}"
+        with AsyncGatewayHTTPServer(gateway, HttpdConfig()) as shard:
+            router = RouterServer(
+                Partition({"s0": [(t, z)]}),
+                {"s0": shard.url},
+                config=RouterConfig(upstream_timeout_seconds=30),
+            ).start()
+            try:
+                peak, statuses = _stream_behind_held_request(
+                    router, url, gate, entered
+                )
+            finally:
+                router.stop()
+        assert peak <= MAX_HEAD_BYTES + TRANSPORT_READ_BYTES
+        assert statuses == [200] * len(statuses)
+
+
+#: Raw-socket cases: request bytes (from the pipelined URL triple), the
+#: statuses answered in order, and whether the server then closes.
+WIRE_CASES = {
+    "malformed_request_line": (lambda urls: b"NONSENSE\r\n\r\n", [400], True),
+    "post": (
+        lambda urls: b"POST /healthz HTTP/1.1\r\nHost: t\r\n\r\n",
+        [501],
+        True,
+    ),
+    "oversized_head": (
+        lambda urls: b"GET /" + b"a" * MAX_HEAD_BYTES,
+        [],
+        True,
+    ),
+    "pipelined": (
+        lambda urls: b"".join(_request(url) for url in urls),
+        [200, 200, 200],
+        False,
+    ),
+}
+
+
+def _exchange(address, request: bytes, n_responses: int, closes: bool):
+    """``request`` on a fresh connection: (the first ``n_responses``
+    responses, every byte after them up to EOF when the server closes)."""
+    with socket.create_connection(address, timeout=10) as sock:
+        try:
+            sock.sendall(request)
+        except (BrokenPipeError, ConnectionResetError):
+            pass  # the server may close before the request is all sent
+        with sock.makefile("rb") as reader:
+            responses = [_read_response(reader) for _ in range(n_responses)]
+            tail = None
+            if closes:
+                try:
+                    tail = reader.read()
+                except ConnectionResetError:
+                    tail = b""
+    return responses, tail
+
+
+@pytest.fixture(scope="module")
+def fronts(env):
+    """The gateway server, and a router in front of it as its only shard;
+    plus the pipelined triple: a warm read, an offloaded ``/cheapest``,
+    another warm read."""
+    universe, keys, start_now = env
+    t, z, p = keys[0]
+    region = z.rstrip("abcdefghijklmnopqrstuvwxyz")
+    urls = (
+        f"/predictions/{t}/{z}?probability={p}&now={start_now}",
+        f"/cheapest/{t}/{region}?probability={p}&now={start_now}",
+        f"/bid/{t}/{z}?probability={p}&duration=3600.0&now={start_now}",
+    )
+    server = AsyncGatewayHTTPServer(
+        warm_gateway(universe, [(t, z)], start_now, p), HttpdConfig()
+    ).start()
+    router = RouterServer(Partition({"s0": [(t, z)]}), {"s0": server.url})
+    router.start()
+    try:
+        yield (server, router), urls
+    finally:
+        router.stop()
+        server.stop()
+
+
+class TestWire:
+    @pytest.mark.parametrize("case", sorted(WIRE_CASES))
+    def test_direct_and_routed_answer_identically(self, fronts, case):
+        (server, router), urls = fronts
+        build, statuses, closes = WIRE_CASES[case]
+        direct = _exchange(server.address, build(urls), len(statuses), closes)
+        routed = _exchange(router.address, build(urls), len(statuses), closes)
+        assert routed == direct
+        responses, tail = direct
+        assert [_status(r) for r in responses] == statuses
+        if closes:
+            assert tail == b""
+            for response in responses:
+                assert b"\r\nConnection: close\r\n" in response
+        if case == "pipelined":
+            separate = [
+                _exchange(server.address, _request(url), 1, False)[0][0]
+                for url in urls
+            ]
+            assert responses == separate
+
