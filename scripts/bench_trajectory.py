@@ -13,7 +13,8 @@ Times the numbers the optimisation work is gated on —
   column sweep, A/B'd against the scalar per-key ``DraftsPredictor``
   construction loop, bounds/ladders checked bit-identical) plus — at the
   bench scale — the paper-scale sequential Table 1 wall-clock, the
-  headline number the fit batching is gated on,
+  headline number the fit batching is gated on, split into its phases
+  (phase-1 fit, frozen replay, backtest engine per strategy),
 
 written to ``BENCH_backtest.json`` next to the recorded pre-optimisation
 baselines, and
@@ -262,17 +263,54 @@ def _time_universe_fit(scale: str) -> dict:
     }
 
 
-def _time_paper_table1() -> float:
-    """Paper-scale sequential Table 1 wall-clock (the headline number)."""
-    from repro.backtest import predcache
+def _time_paper_table1() -> tuple[float, dict[str, float]]:
+    """Paper-scale sequential Table 1 wall-clock (the headline number).
+
+    Also returns its phase split in seconds: ``fit`` (the fused phase-1
+    pass, ``prefit_phase1``), ``replay`` (the frozen-key DrAFTS replay,
+    ``drafts_bids``), ``engine.<strategy>`` (``run_backtest`` per
+    strategy: request sampling, the strategy's own bids where it is not
+    replayed, and the survival checks) and ``other`` (the rest).
+    """
+    from repro.backtest import predcache, universe_driver
     from repro.baselines.ar1 import AR1Bid
+    from repro.experiments import parallel
     from repro.experiments.table1 import run_table1
 
-    predcache.clear()
-    AR1Bid.clear_prefit()
-    start = time.perf_counter()
-    run_table1(scale="paper", probability=0.99, workers=0)
-    return time.perf_counter() - start
+    phases: dict[str, float] = {}
+    timed = (
+        (universe_driver, "prefit_phase1", lambda args: "fit"),
+        (universe_driver, "drafts_bids", lambda args: "replay"),
+        (parallel, "run_backtest", lambda args: f"engine.{args[2].name}"),
+    )
+
+    def wrap(fn, phase_of):
+        def wrapper(*args, **kwargs):
+            start = time.perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                phase = phase_of(args)
+                phases[phase] = (
+                    phases.get(phase, 0.0) + time.perf_counter() - start
+                )
+
+        return wrapper
+
+    originals = [getattr(module, name) for module, name, _ in timed]
+    for (module, name, phase_of), fn in zip(timed, originals):
+        setattr(module, name, wrap(fn, phase_of))
+    try:
+        predcache.clear()
+        AR1Bid.clear_prefit()
+        start = time.perf_counter()
+        run_table1(scale="paper", probability=0.99, workers=0)
+        total = time.perf_counter() - start
+    finally:
+        for (module, name, _), fn in zip(timed, originals):
+            setattr(module, name, fn)
+    phases["other"] = total - sum(phases.values())
+    return total, {phase: round(sec, 1) for phase, sec in phases.items()}
 
 
 def _time_serving_refresh(scale: str) -> dict:
@@ -363,8 +401,12 @@ def main() -> int:
     paper_table1_s = None
     if args.scale == "bench":
         print("timing paper-scale sequential Table 1 (the headline) ...")
-        paper_table1_s = _time_paper_table1()
-        print(f"  {paper_table1_s:.1f} s")
+        paper_table1_s, paper_phases = _time_paper_table1()
+        print(
+            f"  {paper_table1_s:.1f} s ("
+            + ", ".join(f"{k} {v:.1f} s" for k, v in paper_phases.items())
+            + ")"
+        )
 
     report = {
         "scale": args.scale,
@@ -380,6 +422,7 @@ def main() -> int:
     }
     if args.scale == "bench":
         report["measured"]["table1_paper_seq_s"] = round(paper_table1_s, 1)
+        report["measured"]["table1_paper_phases_s"] = paper_phases
         report["baseline"] = BASELINE
         report["speedup"] = {
             "backtest_matrix": round(

@@ -68,7 +68,8 @@ PYTHONPATH=src python -m repro replay --spawn --requests 300 --rate 300 \
 # front tier, assert the partition is exhaustive and disjoint (worker
 # /healthz identities vs the planned assignment, distinct pids), compare
 # routed bytes against a warm single-process gateway on every status path
-# (200/400/404/503/504 plus a cross-shard /cheapest merge), then drain
+# (200/400/404/503/504 plus a cross-shard /cheapest merge, a fragment and
+# a repeated query key: one route table on every process), then drain
 # the whole deployment cleanly. Exits non-zero on the first divergence.
 echo "== router smoke (2 forked shards, byte parity + clean drain) =="
 PYTHONPATH=src python -m repro router-smoke --keys 4 --shards 2

@@ -676,7 +676,8 @@ def _cmd_router_smoke(args: argparse.Namespace) -> int:
       worker's ``/healthz`` reports exactly its partition's key count;
     * **parity** — routed responses byte-identical to a single-process
       gateway across every status path (200/400/404/503/504 plus the
-      scatter-gathered ``/cheapest``);
+      scatter-gathered ``/cheapest``), and ``/healthz#x`` answered as
+      ``/healthz`` by the router and every shard;
     * **drain** — router and every worker drain cleanly on stop.
     """
     import http.client
@@ -762,6 +763,11 @@ def _cmd_router_smoke(args: argparse.Namespace) -> int:
             f"/predictions/{itype}/{zone}"
             f"?probability={prob}&now={start_now}&deadline=0",
             f"/predictions/zz99.none/{zone}?probability={prob}&now={start_now}",
+            # One route table: fragments and repeated query keys resolve
+            # identically on the router and the shards.
+            "/no/such#frag",
+            f"/bid/{itype}/{zone}?probability=0.5&probability={prob}"
+            f"&duration=3600.0&now={start_now}",
         ]
         # A (type, region) pair the universe has no capacity for: both
         # sides must refuse with the same 503, and the routed side takes
@@ -794,6 +800,15 @@ def _cmd_router_smoke(args: argparse.Namespace) -> int:
                     f"parity break on {path}: {status} {body!r} "
                     f"vs {expected.status} {want!r}"
                 )
+        # Every process answers health itself (the body names it), so a
+        # health URL's reference is that process's own plain /healthz.
+        for base in (deployment.router.url, *deployment.shard_urls.values()):
+            got = http_get(base, "/healthz#x")
+            want = http_get(base, "/healthz")
+            if got != want:
+                failures.append(
+                    f"parity break on {base}/healthz#x: {got!r} vs {want!r}"
+                )
     finally:
         # 3. Drain.
         stats = deployment.stop()
@@ -807,7 +822,7 @@ def _cmd_router_smoke(args: argparse.Namespace) -> int:
         f"router-smoke: ok — {len(combos)} combos over "
         f"{args.shards} forked shards, partition exhaustive and "
         f"disjoint, routed bytes identical on "
-        f"{len(cases)} paths, clean drain"
+        f"{len(cases)} paths plus /healthz#x, clean drain"
     )
     return 0
 

@@ -53,7 +53,7 @@ def prefit_phase1(
     *,
     drafts: bool = True,
     ar1: bool = True,
-) -> int:
+) -> tuple[int, list[DraftsPredictor]]:
     """Fit everything a Table 1 sweep reads from QBETS in one lockstep pass.
 
     The DrAFTS predictors :mod:`~repro.backtest.predcache` lacks (phase 1
@@ -61,28 +61,40 @@ def prefit_phase1(
     :class:`~repro.baselines.ar1.AR1Bid`'s prefit cache lacks (change
     points at ``q = p``, as segmentation-only keys) go through a single
     :func:`~repro.core.universe_fit.fit_drafts_universe` call and land in
-    those caches, where :func:`drafts_bids` and ``AR1Bid.for_combo`` find
-    them. Returns the number of keys fitted.
+    those caches, where ``AR1Bid.for_combo`` and scalar cells find them.
+
+    Returns the number of keys fitted and the DrAFTS predictor of every
+    trace, cached or fitted here (empty when ``drafts`` is false). Pass
+    the predictors to :func:`drafts_bids`: a chunk larger than the
+    predictor LRU has already evicted some of them from it.
     """
-    keys: list[tuple[PriceTrace, DraftsConfig | QBETSConfig]] = []
-    if drafts:
-        for trace in traces:
-            config = drafts_predictor_config(trace, probability)
-            if predcache.peek_predictor(trace, config) is None:
-                keys.append((trace, config))
+    configs = (
+        [drafts_predictor_config(trace, probability) for trace in traces]
+        if drafts
+        else []
+    )
+    predictors = [
+        predcache.peek_predictor(trace, config)
+        for trace, config in zip(traces, configs)
+    ]
+    missing = [i for i, predictor in enumerate(predictors) if predictor is None]
+    keys: list[tuple[PriceTrace, DraftsConfig | QBETSConfig]] = [
+        (traces[i], configs[i]) for i in missing
+    ]
     if ar1:
         keys.extend(AR1Bid.segmentation_todo(traces, probability))
-    if not keys:
-        return 0
-    fit = fit_drafts_universe(
-        [trace for trace, _ in keys], [config for _, config in keys]
-    )
-    for k, (trace, config) in enumerate(keys):
-        if isinstance(config, QBETSConfig):
-            AR1Bid.store_segmentation(trace, config, fit.changepoints(k))
-        else:
-            predcache.put_predictor(trace, config, fit.predictor(k))
-    return len(keys)
+    if keys:
+        fit = fit_drafts_universe(
+            [trace for trace, _ in keys], [config for _, config in keys]
+        )
+        for k, (trace, config) in enumerate(keys):
+            if isinstance(config, QBETSConfig):
+                AR1Bid.store_segmentation(trace, config, fit.changepoints(k))
+            else:
+                # DrAFTS keys come first, in ``missing`` order.
+                predictors[missing[k]] = fit.predictor(k)
+                predcache.put_predictor(trace, config, predictors[missing[k]])
+    return len(keys), predictors
 
 
 def _fallback_bids(
@@ -108,6 +120,7 @@ def drafts_bids(
     combos: list[Combo],
     config: BacktestConfig,
     fallback: str = "top",
+    predictors: list[DraftsPredictor] | None = None,
 ) -> dict[str, np.ndarray]:
     """DrAFTS bids for every sampled request of ``combos``, batch-replayed.
 
@@ -115,25 +128,24 @@ def drafts_bids(
     ``DraftsBid(predictor, fallback).bid_at_many`` over the engine's
     request sample for that combination (same seed stream, so the arrays
     drop into :func:`~repro.backtest.engine.run_backtest` /
-    :func:`~repro.backtest.costopt.combo_costs` unchanged). Phase-1 fits go
-    through :mod:`repro.backtest.predcache`, so the predictors stay shared
-    with any scalar cells of the same sweep.
+    :func:`~repro.backtest.costopt.combo_costs` unchanged).
+    ``predictors`` are the combos' phase-1 fits, as :func:`prefit_phase1`
+    returns them; without them the fits go through
+    :mod:`repro.backtest.predcache`, so the predictors stay shared with any
+    scalar cells of the same sweep.
     """
     if fallback not in ("top", "none"):
         raise ValueError(f"unknown fallback mode {fallback!r}")
     if not combos:
         return {}
-    # One universe-wide phase-1 batch fit for every combo the predictor
-    # cache does not already hold; cache hits stay shared with any scalar
-    # cells of the same sweep.
     traces = [universe.trace(combo) for combo in combos]
-    cfgs = [
-        drafts_predictor_config(trace, config.probability)
-        for trace in traces
-    ]
-    predictors: list[DraftsPredictor] = predcache.get_predictors_batch(
-        traces, cfgs
-    )
+    if predictors is None:
+        # One universe-wide phase-1 batch fit for every combo the
+        # predictor cache does not already hold.
+        predictors = predcache.get_predictors_batch(
+            traces,
+            [drafts_predictor_config(t, config.probability) for t in traces],
+        )
     requests: list[tuple[np.ndarray, np.ndarray]] = []
     for combo, trace in zip(combos, traces):
         rng = RngFactory(config.seed).generator(f"backtest/{combo.key}")

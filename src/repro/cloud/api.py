@@ -67,6 +67,9 @@ class EC2Api:
     ) -> None:
         self._universe = universe
         self._views = _AccountViews(account_views or {})
+        # region -> AZ names; the catalog and the views are fixed, and
+        # only known regions (non-empty answers) are kept.
+        self._zones: dict[str, tuple[str, ...]] = {}
 
     # -- metadata ----------------------------------------------------------
 
@@ -76,8 +79,17 @@ class EC2Api:
 
     def describe_availability_zones(self, region: str) -> tuple[str, ...]:
         """This account's (possibly obfuscated) AZ names for ``region``."""
-        zones = [z.name for z in self._universe.zones(region)]
-        return tuple(sorted(self._views.to_local(z) for z in zones))
+        zones = self._zones.get(region)
+        if zones is None:
+            zones = tuple(
+                sorted(
+                    self._views.to_local(z.name)
+                    for z in self._universe.zones(region)
+                )
+            )
+            if zones:
+                self._zones[region] = zones
+        return zones
 
     def describe_instance_types(self) -> tuple[str, ...]:
         """All instance type names."""

@@ -322,6 +322,10 @@ class UniverseFitter:
         # Per-column flat count-table index of every key's observation
         # (int32 halves the matrix; the sweep widens one row at a time).
         idx_dtype = np.int32 if n_slots < 2**31 else np.int64
+        # Dtype of the rank-selection cumsums: a partial sum never exceeds
+        # the table's total count (<= K * T observations), and int32 runs
+        # ~4x faster than the default widening to int64.
+        self._sum_dtype = np.int32 if K * T < 2**31 else np.int64
         self._cidx_T = np.zeros((T, K), dtype=idx_dtype)
         for j, (u, r) in enumerate(zip(uniqs, ranks)):
             if u.size:
@@ -366,11 +370,11 @@ class UniverseFitter:
         r = ranks[:, None]
         boff = self._boff[rows]
         bc = self._blocks[boff[:, None] + self._blk_ar]
-        before = bc.cumsum(axis=1) <= r
+        before = bc.cumsum(axis=1, dtype=self._sum_dtype) <= r
         r = r - np.add.reduce(bc, axis=1, where=before, keepdims=True)
         base = (boff + before.sum(axis=1)) << shift
         sc = self._counts[base[:, None] + self._slot_ar]
-        base += (sc.cumsum(axis=1) <= r).sum(axis=1)
+        base += (sc.cumsum(axis=1, dtype=self._sum_dtype) <= r).sum(axis=1)
         return self._vals[base]
 
     def _observe(self, kact, events, elen, ehead, ehits, hit, crit):

@@ -49,11 +49,13 @@ def _run_assignment(assignment: _Assignment) -> list[ComboResult]:
 
     Phase 1 for the whole chunk is one lockstep pass
     (:func:`repro.backtest.universe_driver.prefit_phase1`): the DrAFTS
-    price bounds and the AR(1) change-point segmentation ride together and
-    land in the predictor and AR(1) prefit caches. DrAFTS bids for the
-    chunk then come from one frozen-key universe replay
-    (:func:`repro.backtest.universe_driver.drafts_bids`) — the epoch walk
-    amortises across the chunk — and drop into :func:`run_backtest` per
+    price bounds and the AR(1) change-point segmentation ride together.
+    The AR(1) segmentations land in their prefit cache; the DrAFTS
+    predictors go straight to one frozen-key universe replay
+    (:func:`repro.backtest.universe_driver.drafts_bids`), not through the
+    bounded predictor cache, which a chunk larger than it would have
+    partly evicted. The epoch walk amortises across the chunk, and the
+    bids drop into :func:`run_backtest` per
     combination; the other strategies run their own ``bid_at_many``, the
     AR(1) cells on cached segmentations. Results are bit-identical either
     way.
@@ -66,13 +68,17 @@ def _run_assignment(assignment: _Assignment) -> list[ComboResult]:
     ]
     config = SCALES[assignment.scale].backtest_config(assignment.probability)
     names = assignment.strategy_names
-    prefit_phase1(
+    _, predictors = prefit_phase1(
         [universe.trace(c) for c in combos],
         assignment.probability,
         drafts="drafts" in names,
         ar1="ar1" in names,
     )
-    drafts = drafts_bids(universe, combos, config) if "drafts" in names else {}
+    drafts = (
+        drafts_bids(universe, combos, config, predictors=predictors)
+        if "drafts" in names
+        else {}
+    )
     return [
         run_backtest(
             universe,

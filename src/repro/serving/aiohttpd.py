@@ -29,16 +29,19 @@ Three event-loop-specific decisions:
   answers in microseconds; paying a thread-pool round trip for each would
   cost more than the handler itself. The protocol asks the gateway
   (:meth:`~repro.serving.gateway.ServingGateway.probe_inline`)
-  whether the URL can be answered without blocking — warm ``predictions``
-  and ``bid`` reads, health, metrics, every in-memory error path — and if
-  so dispatches *synchronously inside* ``data_received``: one callback
-  from bytes-in to bytes-out, no task, no timer, no context switch.
-* **executor offload** — everything that may block (a cold-miss fit, the
-  ``cheapest`` zone scan, any request when a chaos spike hook is armed —
-  hooks may sleep) runs via ``loop.run_in_executor`` on a small thread
-  pool behind a bounded semaphore: the loop keeps serving socket I/O
-  while at most ``executor_workers`` handlers run, and excess requests
-  queue on the (async) semaphore instead of spawning threads.
+  whether the URL can be answered without blocking — ``predictions`` and
+  ``bid`` reads of a stored key, ``cheapest`` scans whose every zone is
+  stored (fresh or stale), health, metrics, every in-memory error path —
+  and if so dispatches *synchronously inside* ``data_received``: one
+  callback from bytes-in to bytes-out, no task, no timer, no context
+  switch.
+* **executor offload** — everything that may block (a read or a
+  ``cheapest`` scan that would fit a cold key, any request when a chaos
+  spike hook is armed — hooks may sleep) runs via
+  ``loop.run_in_executor`` on a small thread pool behind a bounded
+  semaphore: the loop keeps serving socket I/O while at most
+  ``executor_workers`` handlers run, and excess requests queue on the
+  (async) semaphore instead of spawning threads.
 * **SO_REUSEPORT fan-out** — one loop is one core. ``reuse_port=True``
   lets N server processes (``python -m repro serve --workers N``)
   bind the same port and have the kernel spread connections across
@@ -172,8 +175,8 @@ class AsyncGatewayHTTPServer:
 
     The loop runs in one background thread; warm-store reads dispatch
     inline on the loop, while potentially blocking gateway work
-    (cold-miss fits, ``/cheapest`` scans, chaos spikes) runs on a bounded
-    executor so it never stalls connection I/O.
+    (cold-miss fits, chaos spikes) runs on a bounded executor so it never
+    stalls connection I/O.
 
     ``manage_gateway=True`` (default) ties the gateway lifecycle to the
     server's: :meth:`start` starts the refresher workers (and the

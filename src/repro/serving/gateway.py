@@ -31,12 +31,11 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from urllib.parse import parse_qs, urlsplit
 
 from repro.cloud.api import EC2Api
 from repro.service.drafts_service import DraftsService, ServiceConfig
 from repro.service.persistence import MANIFEST_NAME
-from repro.service.rest import Response, parse_floats
+from repro.service.rest import Response, Route, parse_floats, parse_route
 from repro.serving.clock import Clock, SystemClock
 from repro.serving.metrics import MetricsRegistry
 from repro.serving.refresher import BackgroundRefresher, SingleFlight
@@ -251,13 +250,11 @@ class ServingGateway:
         )
         self._inflight = 0
         self._inflight_lock = threading.Lock()
-        # URL-parse memo: serving traffic repeats a bounded set of URLs
-        # (key universe x parameter grid), and urlsplit + parse_qs cost
-        # more than a warm store read. Entries are never mutated by the
-        # handlers (read-only segments/query), so sharing them is safe;
-        # plain dict ops are atomic under the GIL, and a racing double
-        # parse merely wastes one parse.
-        self._parse_cache: dict[str, tuple[list[str], dict, str]] = {}
+        self._handlers = {
+            "predictions": self._predictions,
+            "bid": self._bid,
+            "cheapest": self._cheapest,
+        }
         # Pre-register the instrument set so /metrics always exposes the
         # full contract (a counter that never fired still reads 0).
         for name in (
@@ -413,47 +410,36 @@ class ServingGateway:
 
     # -- request path --------------------------------------------------------
 
-    def _parse_url(self, url: str) -> tuple[list[str], dict, str]:
-        """Split ``url`` into (segments, query, path), memoised."""
-        cached = self._parse_cache.get(url)
-        if cached is None:
-            parts = urlsplit(url)
-            segments = [s for s in parts.path.split("/") if s]
-            query = {k: v[-1] for k, v in parse_qs(parts.query).items()}
-            if len(self._parse_cache) >= 4096:
-                self._parse_cache.clear()  # bound the memo under URL churn
-            self._parse_cache[url] = cached = (segments, query, parts.path)
-        return cached
-
     def get(self, url: str) -> Response:
         """Dispatch one GET request."""
-        segments, query, path = self._parse_url(url)
-        if segments in (["health"], ["healthz"]):
-            self.metrics.counter("gateway.other").inc()
+        route = parse_route(url)
+        if route.kind in self._handlers:
+            return self._admitted(route)
+        self.metrics.counter("gateway.other").inc()
+        if route.kind == "health":
             body = {"status": "ok"}
             if self.identity:
                 body.update(self.identity)
             return Response(200, body)
-        if segments == ["metrics"]:
-            self.metrics.counter("gateway.other").inc()
+        if route.kind == "metrics":
             return Response(200, self.snapshot())
-        if len(segments) == 3 and segments[0] in ("predictions", "bid", "cheapest"):
-            return self._admitted(segments, query)
-        self.metrics.counter("gateway.other").inc()
-        return Response(404, {"error": f"no route for {path!r}"})
+        return Response(404, {"error": f"no route for {route.path!r}"})
 
     def can_serve_inline(self, url: str) -> bool:
         """True when answering ``url`` cannot block the calling thread.
 
-        Every route is an in-memory read except a cold-miss curve, which
-        fits inline — and ``cheapest``, which scans every zone and may hit
-        any number of cold keys. An event-loop front end uses this probe
-        to dispatch warm reads on the loop itself and push potentially
-        blocking requests to its executor. The probe is side-effect free:
-        it reads through :meth:`~repro.serving.store.ShardedCurveStore.peek`,
-        so it never perturbs the store's popularity accounting, and a
-        conservative ``False`` is always safe (the request merely takes
-        the slower, offloaded path).
+        Every route is an in-memory read except a curve read that would
+        fit a cold key inline: a ``predictions``/``bid`` key, or any zone
+        a ``cheapest`` scan visits, with no store entry yet. A stored
+        entry, fresh or stale, is served without blocking (a stale one
+        only enqueues its refresh). An event-loop front end uses this
+        probe to dispatch warm reads on the loop itself and push
+        potentially blocking requests to its executor. The probe is
+        side-effect free: it reads through
+        :meth:`~repro.serving.store.ShardedCurveStore.peek`, so it never
+        perturbs the store's popularity accounting, and a conservative
+        ``False`` is always safe (the request merely takes the slower,
+        offloaded path).
         """
         return self.probe_inline(url)[0]
 
@@ -463,30 +449,29 @@ class ServingGateway:
         The first element is :meth:`can_serve_inline`'s answer. The second
         is the warm curve object that would serve a ``predictions``/``bid``
         hit, or ``None`` for every other case (in-memory routes, error
-        paths, cold keys). Curves are immutable once fitted, so the object
-        doubles as a cache-validation token: a response derived from this
-        curve and this URL stays byte-stable exactly as long as the store
-        still holds the same object.
+        paths, ``cheapest`` scans, cold keys). Curves are immutable once
+        fitted, so the object doubles as a cache-validation token: a
+        response derived from this curve and this URL stays byte-stable
+        exactly as long as the store still holds the same object.
         """
-        segments, query, _path = self._parse_url(url)
-        if len(segments) != 3 or segments[0] not in (
-            "predictions",
-            "bid",
-            "cheapest",
-        ):
-            return True, None  # health/metrics/404 answer from memory
-        if segments[0] == "cheapest":
-            return False, None
-        try:
-            probability, now = parse_floats(query, "probability", "now")
-        except ValueError:
-            return True, None  # a malformed query answers 400 from memory
-        entry = self.store.peek((segments[1], segments[2], probability))
-        if self.store.state_of(entry, now) is EntryState.MISSING:
+        route = parse_route(url)
+        if route.kind not in self._handlers or route.error is not None:
+            # health/metrics/404, or a malformed query's 400: from memory.
+            return True, None
+        if route.kind == "cheapest":
+            for zone in self._scan_zones(route.instance_type, route.location):
+                key = (route.instance_type, zone, route.probability)
+                if self.store.peek(key) is None:
+                    return False, None
+            return True, None
+        entry = self.store.peek(
+            (route.instance_type, route.location, route.probability)
+        )
+        if entry is None:
             return False, None
         return True, entry.curve
 
-    def _admitted(self, segments: list[str], query: dict) -> Response:
+    def _admitted(self, route: Route) -> Response:
         self.metrics.counter("gateway.requests").inc()
         with self._inflight_lock:
             if self._inflight >= self._cfg.max_inflight:
@@ -501,26 +486,24 @@ class ServingGateway:
             self._inflight += 1
             self.metrics.gauge("gateway.inflight").set(self._inflight)
         try:
-            return self._handle(segments, query)
+            return self._handle(route)
         finally:
             with self._inflight_lock:
                 self._inflight -= 1
                 self.metrics.gauge("gateway.inflight").set(self._inflight)
 
-    def _handle(self, segments: list[str], query: dict) -> Response:
+    def _handle(self, route: Route) -> Response:
         deadline = self._cfg.deadline_seconds
-        if "deadline" in query:
-            (deadline,) = parse_floats(query, "deadline")
+        if "deadline" in route.query:
+            (deadline,) = parse_floats(route.query, "deadline")
         request = _RequestState(self._clock.now(), deadline)
         timed_out = False
         response = Response(500, {"error": "unreachable"})
         try:
-            if segments[0] == "predictions":
-                response = self._predictions(segments[1], segments[2], query, request)
-            elif segments[0] == "bid":
-                response = self._bid(segments[1], segments[2], query, request)
+            if route.error is not None:
+                response = Response(400, {"error": route.error})
             else:
-                response = self._cheapest(segments[1], segments[2], query, request)
+                response = self._handlers[route.kind](route, request)
         except _DeadlineExceeded:
             timed_out = True
         except KeyError as exc:
@@ -609,13 +592,15 @@ class ServingGateway:
 
     # -- handlers ----------------------------------------------------------------
 
-    def _predictions(
-        self, instance_type: str, zone: str, query: dict, request: _RequestState
-    ) -> Response:
-        probability, now = parse_floats(query, "probability", "now")
+    def _predictions(self, route: Route, request: _RequestState) -> Response:
+        probability = route.probability
         self._check_probability(probability)
         try:
-            curve = self._serve_curve((instance_type, zone, probability), now, request)
+            curve = self._serve_curve(
+                (route.instance_type, route.location, probability),
+                route.now,
+                request,
+            )
         except _BreakerOpen:
             return Response(
                 503,
@@ -632,15 +617,14 @@ class ServingGateway:
             )
         return Response(200, curve.to_dict())
 
-    def _bid(
-        self, instance_type: str, zone: str, query: dict, request: _RequestState
-    ) -> Response:
-        probability, duration, now = parse_floats(
-            query, "probability", "duration", "now"
-        )
+    def _bid(self, route: Route, request: _RequestState) -> Response:
+        instance_type, zone = route.instance_type, route.location
+        probability, duration = route.probability, route.duration
         self._check_probability(probability)
         try:
-            curve = self._serve_curve((instance_type, zone, probability), now, request)
+            curve = self._serve_curve(
+                (instance_type, zone, probability), route.now, request
+            )
         except _BreakerOpen:
             return self._ondemand_fallback(instance_type, zone, probability, duration)
         if curve is None:
@@ -691,23 +675,25 @@ class ServingGateway:
             },
         )
 
-    def _cheapest(
-        self, instance_type: str, region: str, query: dict, request: _RequestState
-    ) -> Response:
-        probability, now = parse_floats(query, "probability", "now")
-        self._check_probability(probability)
-        best_zone, best_bid = "", math.inf
-        # A partition-restricted API (shard worker) narrows the scan to the
-        # zones this process owns *for this type*; the plain EC2 API has no
-        # such hook and the scan covers the whole region, as before.
+    def _scan_zones(self, instance_type: str, region: str):
+        """The zones a ``cheapest`` scan visits, in scan order.
+
+        A partition-restricted API (shard worker) narrows the scan to the
+        zones this process owns *for this type*; the plain EC2 API has no
+        such hook and the scan covers the whole region.
+        """
         api = self._service.api
         zones_for = getattr(api, "zones_for_cheapest", None)
-        zones = (
-            zones_for(instance_type, region)
-            if zones_for is not None
-            else api.describe_availability_zones(region)
-        )
-        for zone in zones:
+        if zones_for is not None:
+            return zones_for(instance_type, region)
+        return api.describe_availability_zones(region)
+
+    def _cheapest(self, route: Route, request: _RequestState) -> Response:
+        instance_type, region = route.instance_type, route.location
+        probability, now = route.probability, route.now
+        self._check_probability(probability)
+        best_zone, best_bid = "", math.inf
+        for zone in self._scan_zones(instance_type, region):
             try:
                 curve = self._serve_curve(
                     (instance_type, zone, probability), now, request

@@ -57,7 +57,7 @@ from collections import deque
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 
-from repro.service.rest import encode_body
+from repro.service.rest import encode_body, parse_route
 from repro.serving.httpcore import (
     HeadLoopProtocol,
     body_response,
@@ -867,18 +867,17 @@ class RouterServer:
         return decision
 
     def _decide(self, path: str) -> tuple:
-        path_only = path.partition("?")[0]
-        segments = [s for s in path_only.split("/") if s]
-        if segments in (["health"], ["healthz"]):
+        route = parse_route(path)
+        kind, instance_type, location = route.kind, route.instance_type, route.location
+        if kind in ("predictions", "bid"):
+            return ("proxy", self._partition.route(instance_type, location))
+        if kind == "cheapest":
+            return ("cheapest", instance_type, location)
+        if kind == "health":
             return ("healthz",)
-        if segments == ["metrics"]:
+        if kind == "metrics":
             return ("metrics",)
-        if len(segments) == 3:
-            if segments[0] in ("predictions", "bid"):
-                return ("proxy", self._partition.route(segments[1], segments[2]))
-            if segments[0] == "cheapest":
-                return ("cheapest", segments[1], segments[2])
-        return ("notfound", path_only)
+        return ("notfound", route.path)
 
     def _healthz_body(self) -> dict:
         self._counter("router.local").inc()

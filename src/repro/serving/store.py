@@ -6,7 +6,8 @@ first request for a new combination. A single global lock would serialise
 those reads, so the store hashes each ``(instance_type, zone, probability)``
 key onto one of N shards (deterministically — CRC32, not Python's salted
 ``hash``) and each shard carries its own lock. Readers of different
-combinations never contend.
+combinations never contend. A stored key's shard is remembered, so warm
+reads pay one dict lookup instead of hashing the key's ``repr`` again.
 
 Entries are versioned (:attr:`CurveEntry.generation`) and classified into
 three staleness states against the *simulation* clock of the request:
@@ -103,6 +104,9 @@ class ShardedCurveStore:
             raise ValueError("refresh_seconds must be positive")
         self._shards = tuple(_Shard() for _ in range(n_shards))
         self._refresh_seconds = refresh_seconds
+        # key -> its shard, for every key ever stored: bounded by the
+        # stored key set, so unknown keys in URLs cannot grow it.
+        self._shard_of: dict[CurveKey, _Shard] = {}
 
     @property
     def n_shards(self) -> int:
@@ -115,7 +119,10 @@ class ShardedCurveStore:
         return self._refresh_seconds
 
     def _shard(self, key: CurveKey) -> _Shard:
-        return self._shards[_shard_index(key, len(self._shards))]
+        shard = self._shard_of.get(key)
+        if shard is None:
+            shard = self._shards[_shard_index(key, len(self._shards))]
+        return shard
 
     def state_of(self, entry: CurveEntry | None, now: float) -> EntryState:
         """Classify ``entry`` against simulation instant ``now``."""
@@ -162,6 +169,7 @@ class ShardedCurveStore:
                 generation=(previous.generation + 1) if previous else 1,
             )
             shard.entries[key] = entry
+        self._shard_of[key] = shard
         return entry
 
     def invalidate(self, key: CurveKey) -> bool:

@@ -309,6 +309,24 @@ class TestParity:
                 thread.join(timeout=30)
             assert slow["result"][0] == 200
 
+    def test_warm_cheapest_inline_bytes_equal_offloaded(self, env, server_cls):
+        """The first ``/cheapest`` fits its cold zones off the loop; once
+        every zone holds an entry the same URL is answered inline, with
+        the offloaded answer's bytes and the in-process answer's body."""
+        universe, keys, start_now = env
+        t, z, p = keys[0]
+        region = z.rstrip("abcdefghijklmnopqrstuvwxyz")
+        url = f"/cheapest/{t}/{region}?probability={p}&now={start_now}"
+        gateway = _gateway(universe)
+        inline = gateway.metrics.counter("httpd.requests_inline")
+        with server_cls(gateway, HttpdConfig()) as server:
+            offloaded = _get(server.address, url)
+            assert inline.value == 0
+            warm = _get(server.address, url)
+            assert inline.value == 1
+        assert offloaded[0] == warm[0] == 200
+        assert warm[2] == offloaded[2] == encode_body(gateway.get(url).body)
+
     def test_metrics_route_served(self, env, server_cls):
         universe, _keys, _ = env
         gateway = _gateway(universe)
@@ -631,6 +649,11 @@ WIRE_CASES = {
         [200, 200, 200],
         False,
     ),
+    "unknown_route_with_fragment": (
+        lambda urls: _request("/no/such#frag"),
+        [404],
+        False,
+    ),
 }
 
 
@@ -699,3 +722,17 @@ class TestWire:
             ]
             assert responses == separate
 
+    def test_fragment_is_not_part_of_the_route(self, fronts):
+        """``/healthz#x`` is the health route on both fronts: each answers
+        it byte-for-byte as it answers ``/healthz``. (The two fronts'
+        health bodies differ by design: the router describes itself.)"""
+        (server, router), _ = fronts
+        statuses = []
+        for front in (server, router):
+            with_fragment, _ = _exchange(
+                front.address, _request("/healthz#x"), 1, False
+            )
+            plain, _ = _exchange(front.address, _request("/healthz"), 1, False)
+            assert with_fragment == plain
+            statuses.append(_status(with_fragment[0]))
+        assert statuses == [200, 200]

@@ -1,0 +1,74 @@
+"""One route table: ``RestRouter``, ``ServingGateway`` and ``RouterServer``
+resolve every URL to the same route, because all three read it from
+:func:`repro.service.rest.parse_route`."""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.cloud.api import EC2Api
+from repro.service.drafts_service import DraftsService
+from repro.service.rest import RestRouter, parse_route
+from repro.serving.clock import ManualClock
+from repro.serving.gateway import ServingGateway
+from repro.serving.router import Partition, RouterServer
+
+T, Z, R = "c4.large", "us-east-1b", "us-east-1"
+
+#: (URL template, route kind, status on both in-process routers).
+CASES = [
+    # Repeated query keys: the last value wins.
+    ("/predictions/{t}/{z}?probability=0.5&probability=0.95&now={now}",
+     "predictions", 200),
+    ("/predictions/{t}/{z}?probability=0.95&probability=abc&now={now}",
+     "predictions", 400),
+    # Blank values count as missing; a blank name is ignored.
+    ("/predictions/{t}/{z}?probability=&now={now}", "predictions", 400),
+    ("/bid/{t}/{z}?=1&probability=0.95&duration=3600&now={now}", "bid", 200),
+    # Empty path segments (doubled and trailing slashes) are ignored.
+    ("/predictions//{t}//{z}?probability=0.95&now={now}", "predictions", 200),
+    ("/bid/{t}/{z}/?probability=0.95&duration=3600&now={now}", "bid", 200),
+    ("/cheapest/{t}/{r}/?probability=0.95&now={now}", "cheapest", 200),
+    # A fragment is never part of the route.
+    ("/predictions/{t}/{z}?probability=0.95&now={now}#frag", "predictions", 200),
+    ("/healthz#x", "health", 200),
+    ("/health/", "health", 200),
+    # Unknown routes, including a URL urlsplit rejects.
+    ("/no/such#frag", "", 404),
+    ("/predictions/{t}", "", 404),
+    ("//predictions/{t}/{z}?probability=0.95&now={now}", "", 404),
+    ("//[x/predictions", "", 404),
+]
+
+
+@pytest.fixture(scope="module")
+def tiers(small_universe):
+    api = EC2Api(small_universe)
+    now = small_universe.trace(small_universe.combo(T, Z)).start + 45 * 86400.0
+    rest = RestRouter(DraftsService(api))
+    gateway = ServingGateway(DraftsService(api), clock=ManualClock())
+    router = RouterServer(Partition({"s0": [(T, Z)]}), {"s0": "http://127.0.0.1:9"})
+    return rest, gateway, router, now
+
+
+@pytest.mark.parametrize(
+    "template, kind, status", CASES, ids=[c[0] for c in CASES]
+)
+def test_every_tier_resolves_the_same_route(tiers, template, kind, status):
+    rest, gateway, router, now = tiers
+    url = template.format(t=T, z=Z, r=R, now=now)
+    assert parse_route(url).kind == kind
+    direct = rest.get(url)
+    served = gateway.get(url)
+    assert (direct.status, direct.body) == (served.status, served.body)
+    assert served.status == status
+    decision = router._route(url)
+    if kind in ("predictions", "bid"):
+        assert decision == ("proxy", "s0")
+    elif kind == "cheapest":
+        assert decision == ("cheapest", T, R)
+    elif kind == "health":
+        assert decision == ("healthz",)
+    else:
+        assert decision[0] == "notfound"
+        assert served.body == {"error": f"no route for {decision[1]!r}"}

@@ -167,6 +167,36 @@ class TestInlineProbe:
             f"/cheapest/c4.large/us-east-1?probability=0.95&now={now}"
         ) == (False, None)
 
+    def test_cheapest_over_warm_zones_is_inline(self, probe_env):
+        gateway, now = probe_env
+        url = f"/cheapest/c4.large/us-east-1?probability=0.95&now={now}"
+        offloaded = gateway.get(url)  # fits every zone of the scan
+        assert offloaded.status == 200
+        assert gateway.probe_inline(url) == (True, None)
+        # Stale entries still answer inline, as for /predictions.
+        later = now + gateway.store.refresh_seconds + 1.0
+        stale_url = f"/cheapest/c4.large/us-east-1?probability=0.95&now={later}"
+        assert gateway.probe_inline(stale_url) == (True, None)
+        assert gateway.get(url) == offloaded
+
+    def test_cheapest_with_one_cold_zone_offloads_without_side_effects(
+        self, probe_env
+    ):
+        gateway, now = probe_env
+        zones = gateway.service.api.describe_availability_zones("us-east-1")
+        for zone in zones[:-1]:
+            url = f"/predictions/c4.large/{zone}?probability=0.95&now={now}"
+            assert gateway.get(url).status == 200
+        keys = [("c4.large", zone, 0.95) for zone in zones]
+        popularity = [gateway.store.popularity(key) for key in keys]
+        before = gateway.metrics.snapshot()
+        assert gateway.probe_inline(
+            f"/cheapest/c4.large/us-east-1?probability=0.95&now={now}"
+        ) == (False, None)
+        assert gateway.store.peek(keys[-1]) is None
+        assert [gateway.store.popularity(key) for key in keys] == popularity
+        assert gateway.metrics.snapshot() == before
+
     def test_cold_key_offloads_without_store_side_effects(self, probe_env):
         gateway, now = probe_env
         url = f"/predictions/c4.large/us-east-1b?probability=0.95&now={now}"

@@ -442,13 +442,15 @@ class TestFusedPhase1:
         AR1Bid.clear_prefit()
 
     def teardown_method(self):
+        predcache.set_max_entries(predcache.DEFAULT_MAX_ENTRIES)
         predcache.clear()
         AR1Bid.clear_prefit()
 
     def test_fused_pass_matches_scalar_fits(self):
         universe = scaled_universe("test")
         traces = [universe.trace(c) for c in scaled_combos("test")]
-        assert prefit_phase1(traces, 0.99) == 2 * len(traces)
+        fitted, predictors = prefit_phase1(traces, 0.99)
+        assert fitted == 2 * len(traces)
         assert predcache.cache_info()["batch_fits"] == len(traces)
         for trace in traces:
             label = f"{trace.instance_type}@{trace.zone}"
@@ -470,4 +472,34 @@ class TestFusedPhase1:
             ), label
             assert list(ref.changepoints) == list(pred.changepoints)
         # Both caches hold everything now.
-        assert prefit_phase1(traces, 0.99) == 0
+        assert prefit_phase1(traces, 0.99) == (0, predictors)
+
+    def test_chunk_larger_than_the_predictor_cache_fits_once(self, monkeypatch):
+        """The prefit predictors reach the replay directly, so a chunk
+        with more DrAFTS keys than the LRU holds is fitted in one pass
+        (the LRU used to evict most of them and the replay refitted those),
+        with the same results as a chunk the cache holds whole."""
+        from repro.backtest import universe_driver
+        from repro.baselines import TABLE1_STRATEGIES
+        from repro.experiments.parallel import _Assignment, _run_assignment
+
+        assignment = _Assignment(
+            scale="test",
+            probability=0.99,
+            combo_keys=tuple(c.key for c in scaled_combos("test")),
+            strategy_names=tuple(s.name for s in TABLE1_STRATEGIES),
+        )
+        reference = _run_assignment(assignment)
+        predcache.clear()
+        AR1Bid.clear_prefit()
+        fits: list[int] = []
+
+        def counting(traces, configs):
+            fits.append(len(traces))
+            return fit_drafts_universe(traces, configs)
+
+        monkeypatch.setattr(universe_driver, "fit_drafts_universe", counting)
+        monkeypatch.setattr(predcache, "fit_drafts_universe", counting)
+        predcache.set_max_entries(4)
+        assert _run_assignment(assignment) == reference
+        assert fits == [2 * len(assignment.combo_keys)]
