@@ -678,6 +678,9 @@ def _cmd_router_smoke(args: argparse.Namespace) -> int:
       gateway across every status path (200/400/404/503/504 plus the
       scatter-gathered ``/cheapest``), and ``/healthz#x`` answered as
       ``/healthz`` by the router and every shard;
+    * **404 stays 404** — a combination the account does not offer
+      (an unknown type; a known type in a zone that does not exist)
+      answers 404 on each of four reads, on both sides;
     * **drain** — router and every worker drain cleanly on stop.
     """
     import http.client
@@ -762,7 +765,6 @@ def _cmd_router_smoke(args: argparse.Namespace) -> int:
             "/no/such/route",
             f"/predictions/{itype}/{zone}"
             f"?probability={prob}&now={start_now}&deadline=0",
-            f"/predictions/zz99.none/{zone}?probability={prob}&now={start_now}",
             # One route table: fragments and repeated query keys resolve
             # identically on the router and the shards.
             "/no/such#frag",
@@ -791,7 +793,14 @@ def _cmd_router_smoke(args: argparse.Namespace) -> int:
                 f"/cheapest/{gap[0]}/{gap[1]}"
                 f"?probability={prob}&now={start_now}"
             )
-        for path in cases:
+        # Not offered: a 404 on every read. Repeats must not trip a
+        # breaker into a 503 or an On-demand bid on either side.
+        not_found = [
+            f"/predictions/zz99.none/{zone}?probability={prob}&now={start_now}",
+            f"/bid/{itype}/{region}q"
+            f"?probability={prob}&duration=3600.0&now={start_now}",
+        ]
+        for path in cases + not_found * 4:
             expected = single.get(path)
             status, body = http_get(deployment.router.url, path)
             want = encode_body(expected.body)
@@ -800,6 +809,8 @@ def _cmd_router_smoke(args: argparse.Namespace) -> int:
                     f"parity break on {path}: {status} {body!r} "
                     f"vs {expected.status} {want!r}"
                 )
+            elif path in not_found and status != 404:
+                failures.append(f"{path} answered {status}, not 404")
         # Every process answers health itself (the body names it), so a
         # health URL's reference is that process's own plain /healthz.
         for base in (deployment.router.url, *deployment.shard_urls.values()):
@@ -822,7 +833,8 @@ def _cmd_router_smoke(args: argparse.Namespace) -> int:
         f"router-smoke: ok — {len(combos)} combos over "
         f"{args.shards} forked shards, partition exhaustive and "
         f"disjoint, routed bytes identical on "
-        f"{len(cases)} paths plus /healthz#x, clean drain"
+        f"{len(cases)} paths plus /healthz#x, {len(not_found)} unoffered "
+        f"combos 404 on 4 reads each, clean drain"
     )
     return 0
 

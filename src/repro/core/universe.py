@@ -1047,108 +1047,3 @@ class UniverseTicker:
             else:
                 lo = mid + 1
         return float(levels[lo])
-
-    # -- crash-safe persistence ---------------------------------------------
-
-    def to_snapshot(self) -> dict:
-        """Serialise the ticker (histories + phase-1 state per key).
-
-        Rung-pool state — levels, suffix pointers, selection buffers — is a
-        pure function of (config, history) and is rebuilt lazily on first
-        query, exactly as the scalar predictor rebuilds its ladder; what
-        round-trips is the same state ``OnlineDraftsPredictor.to_snapshot``
-        keeps, per key.
-        """
-        keys_payload = []
-        for s in self._order:
-            slot = self._slots[s]
-            n = int(self._n[s])
-            entry = {
-                "key": _encode_key(slot.key),
-                "instance_type": slot.instance_type,
-                "zone": slot.zone,
-                "max_price": slot.max_price,
-                "n": n,
-                "times": self._times[s, :n].copy(),
-                "prices": self._prices[s, :n].copy(),
-                "bounds": self._bounds[s, :n].copy(),
-                "bounds_lo": float(self._blo[s]),
-                "bounds_hi": float(self._bhi[s]),
-                "prices_lo": float(self._plo[s]),
-                "prices_hi": float(self._phi[s]),
-            }
-            if slot.qbets is not None:
-                entry["qbets"] = slot.qbets.state_dict()
-            else:
-                entry["frozen_bounds"] = slot.frozen_bounds.copy()
-                entry["frozen_final"] = float(slot.frozen_final)
-                entry["levels"] = slot.pinned_levels.copy()
-            keys_payload.append(entry)
-        return {
-            "config": dataclasses.asdict(self._cfg),
-            "keys": keys_payload,
-        }
-
-    @classmethod
-    def from_snapshot(cls, snapshot: dict) -> "UniverseTicker":
-        """Reconstruct a ticker bit-identical to the one snapshotted."""
-        config = DraftsConfig(**snapshot["config"])
-        self = cls(config)
-        for entry in snapshot["keys"]:
-            key = _decode_key(entry["key"])
-            if "qbets" in entry:
-                self.add_key(
-                    key,
-                    instance_type=entry["instance_type"],
-                    zone=entry["zone"],
-                    max_price=float(entry["max_price"]),
-                )
-            else:
-                self.add_key(
-                    key,
-                    instance_type=entry["instance_type"],
-                    zone=entry["zone"],
-                    max_price=float(entry["max_price"]),
-                    bounds=np.asarray(entry["frozen_bounds"], dtype=np.float64),
-                    final_bound=float(entry["frozen_final"]),
-                    levels=np.asarray(entry["levels"], dtype=np.float64),
-                )
-            s = self._index[key]
-            slot = self._slots[s]
-            n = int(entry["n"])
-            times = np.asarray(entry["times"], dtype=np.float64)
-            prices = np.asarray(entry["prices"], dtype=np.float64)
-            bounds = np.asarray(entry["bounds"], dtype=np.float64)
-            if not (times.size == prices.size == bounds.size == n):
-                raise ValueError(
-                    f"history arrays disagree with n={n}: "
-                    f"{times.size}/{prices.size}/{bounds.size}"
-                )
-            self._grow_history(n)
-            self._n[s] = n
-            self._times[s, :n] = times
-            self._prices[s, :n] = prices
-            self._bounds[s, :n] = bounds
-            self._blo[s] = float(entry["bounds_lo"])
-            self._bhi[s] = float(entry["bounds_hi"])
-            self._plo[s] = float(entry["prices_lo"])
-            self._phi[s] = float(entry["prices_hi"])
-            if "qbets" in entry:
-                slot.qbets.load_state_dict(entry["qbets"])
-            self._bnow[s] = self._bound_now(s)
-        return self
-
-
-def _encode_key(key):
-    """Snapshot-safe key encoding (tuples survive the JSON round trip)."""
-    if isinstance(key, tuple):
-        return {"tuple": [_encode_key(part) for part in key]}
-    if isinstance(key, (str, int, float, bool)) or key is None:
-        return key
-    raise TypeError(f"unsupported key type for snapshots: {type(key)!r}")
-
-
-def _decode_key(enc):
-    if isinstance(enc, dict) and "tuple" in enc:
-        return tuple(_decode_key(part) for part in enc["tuple"])
-    return enc

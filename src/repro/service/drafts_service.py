@@ -12,13 +12,14 @@ refitted from scratch.
 
 This module is that service against the simulated EC2: a curve cache with
 the same refresh policy, exposed through the in-process REST router in
-:mod:`repro.service.rest`. All predictor state lives in one
+:mod:`repro.service.rest`. A key is refreshed when it is read and its
+cached curve is older than ``refresh_seconds`` (the 15-minute period);
+nothing sweeps the keys on a timer. All predictor state lives in one
 structure-of-arrays :class:`~repro.core.universe.UniverseTicker` per
 published probability level; each (type, AZ, probability) key is one slot
 of its level's ticker. A refresh delta-fetches only the announcements
 after the key's cursor, observes them into the ticker and publishes the
-ticker's curve; :meth:`DraftsService.batch_refresh` advances every key of
-a level in one vectorised sweep. A full QBETS fit — a fresh
+ticker's curve. A full QBETS fit — a fresh
 :class:`~repro.core.online.OnlineDraftsPredictor` over the windowed
 history, handed to the ticker as the key's new slot — happens only on:
 
@@ -50,7 +51,6 @@ locks at once, and no file I/O happens under one.
 
 from __future__ import annotations
 
-import itertools
 import math
 import threading
 from collections import OrderedDict
@@ -391,7 +391,7 @@ class DraftsService:
             entry = self._cache.pop((instance_type, zone, probability), None)
         return entry is not None
 
-    # -- universe-wide batch paths -------------------------------------------
+    # -- batch cold boot ----------------------------------------------------
 
     def warm_start(
         self, combos: list[tuple[str, str]], now: float
@@ -473,86 +473,6 @@ class DraftsService:
             fitted += len(installed)
         self._drop_slots(evicted)
         return {"fitted": fitted, "skipped": skipped}
-
-    def batch_refresh(self, now: float) -> dict:
-        """Advance every key to ``now`` in one vectorised sweep per level.
-
-        The universe-wide epoch tick: per probability group, delta-fetch
-        every key, feed announcements epoch-by-epoch into the group's
-        :class:`~repro.core.universe.UniverseTicker` (keys sharing an
-        announcement timestamp advance in one array op) and publish all
-        curves from a single batched ``curves()`` call. Keys hitting a
-        refit reason are refit inline into a fresh slot. Keys already
-        refreshed at ``now`` are skipped.
-
-        Returns ``{"keys", "refits", "epochs", "skipped"}``.
-        """
-        refreshed = 0
-        refits = 0
-        epochs = 0
-        skipped = 0
-        for group in self._groups.values():
-            with group.lock:
-                ticker = group.ticker
-                pending: dict[tuple[str, str, float], object] = {}
-                states: dict[tuple[str, str, float], _KeyState] = {}
-                for key in ticker.keys():
-                    with self._lock:
-                        state = self._states.get(key)
-                    if state is None:
-                        continue  # evicted; its slot is about to be dropped
-                    if state.last_now == now:
-                        skipped += 1
-                        continue
-                    reason, delta = self._plan(ticker, key, state, now)
-                    if reason is None and delta is not None:
-                        pending[key] = delta
-                        states[key] = state
-                        continue
-                    # A refit, or a zero-delta republish of the same curve.
-                    curve = self._refresh(ticker, key, state, now, reason, delta)
-                    if reason is None:
-                        refreshed += 1
-                    else:
-                        refits += 1
-                    with self._lock:
-                        self._cache[key] = _CacheEntry(
-                            computed_at=now, curve=curve
-                        )
-                # Epoch sweep: keys sharing an announcement timestamp
-                # advance in one vectorised observe.
-                fed = list(pending)
-                events = sorted(
-                    (t, i, price)
-                    for i, key in enumerate(fed)
-                    for t, price in zip(
-                        pending[key].times.tolist(), pending[key].prices.tolist()
-                    )
-                )
-                for t, epoch in itertools.groupby(events, key=lambda e: e[0]):
-                    epoch = list(epoch)
-                    ticker.observe(
-                        t, [e[2] for e in epoch], [fed[e[1]] for e in epoch]
-                    )
-                    epochs += 1
-                if pending:
-                    curves = ticker.curves(list(pending))
-                    with self._lock:
-                        for key, state in states.items():
-                            state.curve = curves[key]
-                            state.cursor = pending[key].end
-                            state.last_now = now
-                            self._cache[key] = _CacheEntry(
-                                computed_at=now, curve=curves[key]
-                            )
-                        self._incremental_refreshes += len(pending)
-                    refreshed += len(pending)
-        return {
-            "keys": refreshed,
-            "refits": refits,
-            "epochs": epochs,
-            "skipped": skipped,
-        }
 
     # -- crash-safe persistence ---------------------------------------------
 

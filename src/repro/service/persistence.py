@@ -45,9 +45,7 @@ __all__ = [
     "dumps_snapshot",
     "loads_snapshot",
     "read_snapshot",
-    "read_universe_snapshot",
     "write_snapshot",
-    "write_universe_snapshot",
 ]
 
 SNAPSHOT_FORMAT = "drafts-snapshot"
@@ -187,18 +185,3 @@ def filename_key(name: str) -> tuple[str, str, float]:
     if len(parts) != 3:
         raise ValueError(f"not a snapshot file name: {name!r}")
     return unquote(parts[0]), unquote(parts[1]), float(parts[2])
-
-
-def write_universe_snapshot(path: str | Path, ticker) -> None:
-    """Checkpoint a :class:`~repro.core.universe.UniverseTicker` as one
-    framed ``.snap`` file (kind ``"universe"``) — same torn-write and
-    bit-exactness guarantees as the per-key predictor snapshots."""
-    write_snapshot(path, ticker.to_snapshot(), kind="universe")
-
-
-def read_universe_snapshot(path: str | Path):
-    """Inverse of :func:`write_universe_snapshot`; raises
-    :class:`SnapshotError` on a torn, corrupt or version-skewed file."""
-    from repro.core.universe import UniverseTicker
-
-    return UniverseTicker.from_snapshot(read_snapshot(path, kind="universe"))

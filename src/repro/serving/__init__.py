@@ -2,11 +2,13 @@
 
 The paper's prototype is an asynchronous read-optimised service: a cron
 recomputes every bid–duration curve every 15 minutes and client GETs are
-pure cache reads. This package is that architecture as a subsystem:
+pure cache reads. This package keeps the cache reads and the 15-minute
+period, but a curve is recomputed when a read finds it stale (served
+stale meanwhile), not on a timer:
 
 * :mod:`repro.serving.store` — sharded, versioned, thread-safe curve store;
-* :mod:`repro.serving.refresher` — background recompute scheduler with
-  single-flight request coalescing;
+* :mod:`repro.serving.refresher` — background recompute scheduler fed by
+  stale reads, with single-flight request coalescing;
 * :mod:`repro.serving.gateway` — the front door: admission control, load
   shedding, deadline budgets, circuit breaking to the §4.4 On-demand
   fallback, and a ``/metrics`` route;

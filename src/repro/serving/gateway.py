@@ -16,12 +16,22 @@ Request lifecycle::
                                                     off the request path)
                          missing→ breaker closed?  (miss)
                                     yes → coalesced inline recompute
+                                          (not offered → 404)
                                     no  → §4.4 On-demand fallback
          ──▶ deadline check (504 when the wall budget is exhausted)
 
 Every curve request is classified exactly once as hit / stale-hit / miss /
 shed / error, so the metrics snapshot satisfies
 ``hits + stale_hits + misses + shed + errors == requests``.
+
+A stale read is the only thing that schedules a refresh: the paper's
+15-minute cron period survives as ``ServiceConfig.refresh_seconds``, the
+staleness horizon every read checks. A combination the account does not
+offer is a 404 on every read; it never counts against the circuit
+breaker. With a ``snapshot_dir``, :meth:`ServingGateway.start` restores
+the checkpoint and :meth:`ServingGateway.stop` writes the next one;
+:func:`warm_gateway` is the one function that chooses between that
+restore and a batch fit.
 """
 
 from __future__ import annotations
@@ -68,20 +78,12 @@ class GatewayConfig:
         fallback before recompute is retried.
     refresher_workers:
         Background refresh threads started by :meth:`ServingGateway.start`.
-    refresh_budget_per_tick:
-        How many stale keys one cron tick may enqueue (highest priority
-        first). Incremental refreshes cost milliseconds, so the default
-        covers the full 452-combination universe at both probability
-        levels with headroom; ``None`` removes the cap.
     snapshot_dir:
         Directory the service's predictor state is checkpointed to (see
-        :mod:`repro.service.persistence`). When set, :meth:`ServingGateway.start`
-        warm-restores from it, :meth:`ServingGateway.tick` re-checkpoints
-        every ``snapshot_interval_seconds`` of wall time, and
-        :meth:`ServingGateway.stop` checkpoints once more. ``None``
-        disables persistence (the pre-checkpoint volatile behaviour).
-    snapshot_interval_seconds:
-        Minimum wall time between periodic checkpoints.
+        :mod:`repro.service.persistence`). When set,
+        :meth:`ServingGateway.start` restores the checkpoint it holds and
+        :meth:`ServingGateway.stop` writes a new one. ``None`` disables
+        persistence (the pre-checkpoint volatile behaviour).
     """
 
     max_inflight: int = 64
@@ -90,9 +92,7 @@ class GatewayConfig:
     breaker_threshold: int = 3
     breaker_cooldown_seconds: float = 60.0
     refresher_workers: int = 2
-    refresh_budget_per_tick: int | None = 1024
     snapshot_dir: str | None = None
-    snapshot_interval_seconds: float = 300.0
 
     def __post_init__(self) -> None:
         if self.max_inflight < 1:
@@ -101,13 +101,14 @@ class GatewayConfig:
             raise ValueError("breaker_threshold must be >= 1")
         if self.breaker_cooldown_seconds < 0:
             raise ValueError("breaker_cooldown_seconds must be >= 0")
-        if (
-            self.refresh_budget_per_tick is not None
-            and self.refresh_budget_per_tick < 1
-        ):
-            raise ValueError("refresh_budget_per_tick must be >= 1 or None")
-        if self.snapshot_interval_seconds <= 0:
-            raise ValueError("snapshot_interval_seconds must be positive")
+
+
+def _has_checkpoint(config: GatewayConfig) -> bool:
+    """Whether ``config.snapshot_dir`` holds a checkpoint to restore."""
+    return (
+        config.snapshot_dir is not None
+        and (Path(config.snapshot_dir) / MANIFEST_NAME).exists()
+    )
 
 
 class _CircuitBreaker:
@@ -277,7 +278,6 @@ class ServingGateway:
             "serving.refresh_failures",
         ):
             self.metrics.counter(name)
-        self._last_snapshot_wall = self._clock.now()
         self.metrics.gauge("gateway.inflight")
         self.metrics.gauge("serving.refresh_pending")
         self.metrics.histogram("gateway.request_seconds")
@@ -299,23 +299,28 @@ class ServingGateway:
         """Start the background refresh workers.
 
         When a ``snapshot_dir`` is configured and holds a checkpoint, the
-        predictor state is warm-restored first, so the gateway comes up
-        serving from where the previous process stopped instead of
-        cold-refitting the whole universe.
+        predictor state is restored and the store primed from it first,
+        so the gateway comes up serving from where the previous process
+        stopped instead of cold-refitting the whole universe.
         """
-        if self._cfg.snapshot_dir is not None:
-            manifest = Path(self._cfg.snapshot_dir) / MANIFEST_NAME
-            if manifest.exists():
-                self.load_state(self._cfg.snapshot_dir)
-        self._last_snapshot_wall = self._clock.now()
+        if _has_checkpoint(self._cfg):
+            self.load_state(self._cfg.snapshot_dir)
         self.refresher.start()
         return self
 
     def stop(self) -> None:
-        """Stop the background refresh workers (checkpointing first)."""
+        """Stop the background refresh workers, then write the checkpoint.
+
+        A failed checkpoint is counted in ``gateway.snapshot_failures``
+        and leaves the previous one in place; ``stop()`` still returns
+        normally, because persistence must never take serving down.
+        """
         self.refresher.stop()
         if self._cfg.snapshot_dir is not None:
-            self._snapshot_now()
+            try:
+                self.save_state(self._cfg.snapshot_dir)
+            except Exception:
+                self.metrics.counter("gateway.snapshot_failures").inc()
 
     def wait_idle(self, timeout: float | None = None) -> bool:
         """Block until no curve request is in flight (the drain hook).
@@ -343,40 +348,6 @@ class ServingGateway:
     def __exit__(self, *exc_info) -> None:
         self.stop()
 
-    def tick(self, now: float) -> int:
-        """The cron tick: enqueue entries stale at simulation ``now``,
-        bounded by the configured per-tick refresh budget. Piggybacks the
-        periodic checkpoint when one is due.
-
-        Before scanning, every key holding predictor state advances in
-        one vectorised universe tick per probability level
-        (:meth:`DraftsService.batch_refresh`), so the per-key recomputes
-        the scan enqueues land on fresh service-cache entries instead of
-        each fetching and observing its own delta.
-        """
-        batched = self._service.batch_refresh(now)
-        if batched.get("keys"):
-            self.metrics.counter("gateway.batch_keys").inc(batched["keys"])
-            self.metrics.counter("gateway.batch_epochs").inc(
-                batched["epochs"]
-            )
-        scanned = self.refresher.scan(now, self._cfg.refresh_budget_per_tick)
-        if (
-            self._cfg.snapshot_dir is not None
-            and self._clock.now() - self._last_snapshot_wall
-            >= self._cfg.snapshot_interval_seconds
-        ):
-            self._snapshot_now()
-        return scanned
-
-    def _snapshot_now(self) -> None:
-        try:
-            self.save_state(self._cfg.snapshot_dir)
-        except Exception:
-            # Persistence must never take the serving path down; a failed
-            # checkpoint just leaves the previous one in place.
-            self.metrics.counter("gateway.snapshot_failures").inc()
-
     def save_state(self, directory: str | None = None) -> dict:
         """Checkpoint the service's predictor state (see
         :meth:`DraftsService.save_state`)."""
@@ -384,7 +355,6 @@ class ServingGateway:
         if directory is None:
             raise ValueError("no snapshot directory given or configured")
         info = self._service.save_state(directory)
-        self._last_snapshot_wall = self._clock.now()
         self.metrics.counter("gateway.snapshots").inc()
         return info
 
@@ -734,29 +704,42 @@ def warm_gateway(
     universe,
     combos,
     now: float,
-    probability: float,
-    *,
+    *probabilities: float,
+    api=None,
     config: GatewayConfig | None = None,
     identity: dict | None = None,
 ) -> ServingGateway:
     """A gateway over ``universe`` that answers ``combos`` from memory.
 
-    Batch-fits every ``(instance_type, zone)`` in ``combos`` at ``now``
+    ``probabilities`` are the published levels (at least one). ``api``
+    is the account view the service predicts through (a shard worker
+    passes its :class:`~repro.service.partition.PartitionedApi`); it
+    defaults to ``EC2Api(universe)``. ``config`` defaults to
+    ``GatewayConfig(max_inflight=256)``.
+
+    This is the one place that chooses between restore and fit. When
+    ``config.snapshot_dir`` holds a checkpoint, nothing is fitted here:
+    :meth:`ServingGateway.start` restores it and primes the store, and a
+    key whose file is damaged fits on first touch. Otherwise every
+    ``(instance_type, zone)`` in ``combos`` is batch-fitted at ``now``
     (:meth:`~repro.service.drafts_service.DraftsService.warm_start`) and
-    primes the curve store with one ``/predictions`` read each, so a
+    the store is primed with one ``/predictions`` read per key, so a
     replay or a socket client measures serving, not first-touch fitting.
-    ``config`` defaults to ``GatewayConfig(max_inflight=256)``.
     """
     service = DraftsService(
-        EC2Api(universe), ServiceConfig(probabilities=(probability,))
+        api if api is not None else EC2Api(universe),
+        ServiceConfig(probabilities=probabilities),
     )
-    service.warm_start(list(combos), now)
     gateway = ServingGateway(
         service, config or GatewayConfig(max_inflight=256), identity=identity
     )
+    if _has_checkpoint(gateway.config):
+        return gateway
+    service.warm_start(list(combos), now)
     for instance_type, zone in combos:
-        gateway.get(
-            f"/predictions/{instance_type}/{zone}"
-            f"?probability={probability}&now={now}"
-        )
+        for probability in probabilities:
+            gateway.get(
+                f"/predictions/{instance_type}/{zone}"
+                f"?probability={probability}&now={now}"
+            )
     return gateway

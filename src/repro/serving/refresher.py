@@ -1,7 +1,9 @@
 """Background curve refresh: single-flight recompute plus a priority scheduler.
 
-Two cooperating pieces reproduce the prototype's 15-minute cron without its
-blocking failure mode:
+The prototype recomputes every curve on a 15-minute cron (§3.3). Here a
+curve is recomputed when a read finds it older than that period
+(stale-while-revalidate): the read is answered from the stale entry and
+the key is refreshed off the request path. Two cooperating pieces do it:
 
 :class:`SingleFlight`
     Per-key deduplication of in-flight recomputes. When K requests miss on
@@ -12,12 +14,14 @@ blocking failure mode:
 :class:`BackgroundRefresher`
     A worker pool draining a pending-refresh set in priority order
     (staleness age × request popularity, so hot combinations recompute
-    first), sticking with one probability group at a time so consecutive
-    recomputes reuse the service's vectorised batch-tick state. The
-    gateway pokes it on every stale read (stale-while-revalidate) and
-    :meth:`BackgroundRefresher.scan` re-enqueues every stale entry — the
-    cron tick itself. It also runs fully synchronously
-    via :meth:`BackgroundRefresher.run_pending` for deterministic tests.
+    first). The gateway pokes it on every stale read. It also runs fully
+    synchronously via :meth:`BackgroundRefresher.run_pending` for
+    deterministic tests.
+
+A combination the account does not offer (or, on a shard worker, one the
+shard does not own) raises ``KeyError`` from the recompute. That is the
+caller's 404, not a failing recompute: it reaches neither
+``serving.refresh_failures`` nor the ``on_result`` hook.
 """
 
 from __future__ import annotations
@@ -115,8 +119,9 @@ class BackgroundRefresher:
     clock:
         Wall clock for recompute-latency measurement (injectable).
     on_result:
-        Optional hook observing each finished recompute — the gateway
-        plugs its circuit breaker in here.
+        Optional hook observing each finished recompute except a
+        ``KeyError`` (not offered) — the gateway plugs its circuit
+        breaker in here.
     n_workers:
         Worker threads when started in background mode.
     """
@@ -149,7 +154,6 @@ class BackgroundRefresher:
         self._cond = threading.Condition()
         self._threads: list[threading.Thread] = []
         self._running = False
-        self._last_probability: float | None = None
 
     # -- scheduling ----------------------------------------------------------
 
@@ -161,24 +165,6 @@ class BackgroundRefresher:
                 len(self._pending)
             )
             self._cond.notify()
-
-    def scan(self, now: float, budget: int | None = None) -> int:
-        """The cron tick: enqueue stored entries stale at ``now``.
-
-        ``budget`` caps how many keys one tick may enqueue; when it binds,
-        the highest-priority stale keys (staleness age × popularity) win
-        and the rest wait for the next tick, so one giant key universe
-        cannot swamp the worker pool. Returns how many keys were enqueued.
-        """
-        if budget is not None and budget < 0:
-            raise ValueError("budget must be non-negative")
-        stale = self._store.stale_keys(now)
-        if budget is not None and len(stale) > budget:
-            stale.sort(key=lambda k: self._priority(k, now), reverse=True)
-            stale = stale[:budget]
-        for key in stale:
-            self.poke(key, now)
-        return len(stale)
 
     def pending_count(self) -> int:
         """Keys currently awaiting refresh."""
@@ -196,31 +182,14 @@ class BackgroundRefresher:
         return age * (1 + self._store.popularity(key))
 
     def _pop_next(self) -> tuple[CurveKey, float] | None:
-        """Pick the next pending key, draining in batch-grouped order.
-
-        Keys sharing a probability level share one ``DraftsConfig`` and
-        hence one vectorised ticker group inside the service, so the
-        drain sticks with the group of the previously popped key while it
-        still has pending members (priority order within the group), then
-        jumps to the highest-priority key of another group. Consecutive
-        recomputes therefore hit the same structure-of-arrays state
-        instead of ping-ponging between groups.
-        """
+        """Pop the highest-priority pending key (ties to the smallest)."""
         with self._cond:
             if not self._pending:
                 return None
-            candidates = sorted(self._pending)
-            if self._last_probability is not None:
-                same = [
-                    k for k in candidates if k[2] == self._last_probability
-                ]
-                if same:
-                    candidates = same
             key = max(
-                candidates,
+                sorted(self._pending),
                 key=lambda k: self._priority(k, self._pending[k]),
             )
-            self._last_probability = key[2]
             now = self._pending.pop(key)
             self._metrics.gauge("serving.refresh_pending").set(
                 len(self._pending)
@@ -241,6 +210,8 @@ class BackgroundRefresher:
             started = self._clock.now()
             try:
                 curve = self._compute(key, now)
+            except KeyError:
+                raise  # not offered / not owned: the caller's 404
             except Exception as exc:
                 self._metrics.counter("serving.refresh_failures").inc()
                 if self._on_result is not None:

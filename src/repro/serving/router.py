@@ -1150,11 +1150,11 @@ class ShardDeployment:
     benchmark run. Both modes serve identical bytes.
 
     Warm start per shard: with a ``snapshot_root``, each worker gets
-    ``snapshot_root/<shard_id>`` as its private snapshot directory and
-    warm-restores from it when a manifest exists; otherwise the worker
-    batch-fits its own partition (PR 7's universe fit) and primes its
-    store, so the router comes up with every enrolled key answerable
-    inline.
+    ``snapshot_root/<shard_id>`` as its private snapshot directory. Each
+    worker is built by :func:`~repro.serving.gateway.warm_gateway`, which
+    restores that directory's checkpoint when it holds one and otherwise
+    batch-fits the worker's own partition and primes its store, so the
+    router comes up with every enrolled key answerable inline.
     """
 
     def __init__(
@@ -1198,51 +1198,34 @@ class ShardDeployment:
         with the real worker pid.
         """
         from repro.cloud.api import EC2Api
-        from repro.service.drafts_service import DraftsService, ServiceConfig
         from repro.service.partition import PartitionedApi
-        from repro.service.persistence import MANIFEST_NAME
         from repro.serving.aiohttpd import AsyncGatewayHTTPServer
-        from repro.serving.gateway import GatewayConfig, ServingGateway
+        from repro.serving.gateway import GatewayConfig, warm_gateway
         from repro.serving.httpd import HttpdConfig
 
         combos = self.partition.combos_of(shard_id)
-        api = PartitionedApi(EC2Api(self._universe), combos)
-        service = DraftsService(
-            api, ServiceConfig(probabilities=self._probabilities)
-        )
         gateway_cfg = self._gateway_cfg or GatewayConfig(max_inflight=256)
-        snapshot_dir = None
         if self._snapshot_root is not None:
-            snapshot_dir = os.path.join(self._snapshot_root, shard_id)
             gateway_cfg = dataclasses.replace(
-                gateway_cfg, snapshot_dir=snapshot_dir
+                gateway_cfg,
+                snapshot_dir=os.path.join(self._snapshot_root, shard_id),
             )
-        gateway = ServingGateway(
-            service,
-            gateway_cfg,
+        gateway = warm_gateway(
+            self._universe,
+            combos,
+            self._start_now,
+            *self._probabilities,
+            api=PartitionedApi(EC2Api(self._universe), combos),
+            config=gateway_cfg,
             identity={
                 "shard": shard_id,
                 "pid": os.getpid(),
                 "owned_keys": len(combos) * len(self._probabilities),
             },
         )
-        has_snapshot = snapshot_dir is not None and os.path.exists(
-            os.path.join(snapshot_dir, MANIFEST_NAME)
-        )
-        if combos and not has_snapshot:
-            service.warm_start(list(combos), self._start_now)
         httpd_cfg = self._httpd_cfg or HttpdConfig(max_connections=256)
         server = AsyncGatewayHTTPServer(gateway, httpd_cfg)
-        server.start()  # warm-restores from the shard snapshot when present
-        # Prime the store so every enrolled key answers inline from the
-        # first request (the service cache is already warm; this is one
-        # in-memory read per key).
-        for itype, zone in combos:
-            for probability in self._probabilities:
-                gateway.get(
-                    f"/predictions/{itype}/{zone}"
-                    f"?probability={probability}&now={self._start_now}"
-                )
+        server.start()  # restores the shard checkpoint when there is one
         return server
 
     # -- lifecycle -------------------------------------------------------------

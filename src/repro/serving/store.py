@@ -1,13 +1,14 @@
 """Sharded, thread-safe store of versioned bid–duration curves.
 
 The production DrAFTS prototype is read-dominated: every client GET is a
-cache read, and the only writers are the 15-minute recompute cron and the
-first request for a new combination. A single global lock would serialise
-those reads, so the store hashes each ``(instance_type, zone, probability)``
-key onto one of N shards (deterministically — CRC32, not Python's salted
-``hash``) and each shard carries its own lock. Readers of different
-combinations never contend. A stored key's shard is remembered, so warm
-reads pay one dict lookup instead of hashing the key's ``repr`` again.
+cache read, and the only writers are the background refresher (a stale
+read enqueues its key) and the first request for a new combination. A
+single global lock would serialise those reads, so the store hashes each
+``(instance_type, zone, probability)`` key onto one of N shards
+(deterministically — CRC32, not Python's salted ``hash``) and each shard
+carries its own lock. Readers of different combinations never contend. A
+stored key's shard is remembered, so warm reads pay one dict lookup
+instead of hashing the key's ``repr`` again.
 
 Entries are versioned (:attr:`CurveEntry.generation`) and classified into
 three staleness states against the *simulation* clock of the request:
@@ -70,15 +71,14 @@ class CurveEntry:
 
 
 class _Shard:
-    """One lock domain: entries plus per-key request bookkeeping."""
+    """One lock domain: entries plus per-key read counts."""
 
-    __slots__ = ("lock", "entries", "popularity", "last_now")
+    __slots__ = ("lock", "entries", "popularity")
 
     def __init__(self) -> None:
         self.lock = threading.Lock()
         self.entries: dict[CurveKey, CurveEntry] = {}
         self.popularity: dict[CurveKey, int] = {}
-        self.last_now: dict[CurveKey, float] = {}
 
 
 def _shard_index(key: CurveKey, n_shards: int) -> int:
@@ -139,14 +139,16 @@ class ShardedCurveStore:
     ) -> tuple[CurveEntry | None, EntryState]:
         """Read ``key`` at simulation instant ``now``.
 
-        Also records the access (popularity count and latest requested
-        instant) so the refresher can prioritise hot, stale combinations.
+        A read of a stored key also counts toward its popularity, so the
+        refresher can prioritise hot, stale combinations. A read of a key
+        the store does not hold counts nothing: URLs naming unknown
+        combinations cannot grow the per-key maps.
         """
         shard = self._shard(key)
         with shard.lock:
-            shard.popularity[key] = shard.popularity.get(key, 0) + 1
-            shard.last_now[key] = max(shard.last_now.get(key, now), now)
             entry = shard.entries.get(key)
+            if entry is not None:
+                shard.popularity[key] = shard.popularity.get(key, 0) + 1
         return entry, self.state_of(entry, now)
 
     def peek(self, key: CurveKey) -> CurveEntry | None:
@@ -184,42 +186,12 @@ class ShardedCurveStore:
         with shard.lock:
             return shard.popularity.get(key, 0)
 
-    def last_requested_now(self, key: CurveKey) -> float | None:
-        """Latest simulation instant a request asked for ``key``."""
-        shard = self._shard(key)
-        with shard.lock:
-            return shard.last_now.get(key)
-
     def keys(self) -> list[CurveKey]:
         """Every key with a stored entry (sorted for determinism)."""
         keys: list[CurveKey] = []
         for shard in self._shards:
             with shard.lock:
                 keys.extend(shard.entries)
-        return sorted(keys)
-
-    def stale_keys(self, now: float) -> list[CurveKey]:
-        """Every stored key whose entry is stale at ``now`` (sorted).
-
-        One pass per shard under its own lock — the refresher's cron tick
-        uses this instead of a peek per key, which would take and release
-        a shard lock per stored combination.
-        """
-        stale: list[CurveKey] = []
-        for shard in self._shards:
-            with shard.lock:
-                entries = list(shard.entries.items())
-            for key, entry in entries:
-                if self.state_of(entry, now) is EntryState.STALE:
-                    stale.append(key)
-        return sorted(stale)
-
-    def requested_keys(self) -> list[CurveKey]:
-        """Every key ever looked up, stored or not (sorted)."""
-        keys: set[CurveKey] = set()
-        for shard in self._shards:
-            with shard.lock:
-                keys.update(shard.popularity)
         return sorted(keys)
 
     def __len__(self) -> int:

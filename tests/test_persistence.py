@@ -2,10 +2,10 @@
 
 Three levels: the framed file format (checksums, tearing, version skew),
 the service checkpoint directory (save/load round-trip, damaged files
-degrade to clean refits), and the gateway lifecycle (warm start, periodic
-checkpointing). The contract throughout: damage is *detected* and degrades
-to the pre-checkpoint cold-refit behaviour — it never crashes the serving
-path and never resurrects corrupt predictor state.
+degrade to clean refits), and the gateway lifecycle (restore on start,
+checkpoint on stop). The contract throughout: damage is *detected* and
+degrades to the pre-checkpoint cold-refit behaviour — it never crashes the
+serving path and never resurrects corrupt predictor state.
 """
 
 import json
@@ -27,8 +27,9 @@ from repro.service.persistence import (
     read_snapshot,
     write_snapshot,
 )
+from repro.service.rest import encode_body
 from repro.serving.clock import ManualClock
-from repro.serving.gateway import GatewayConfig, ServingGateway
+from repro.serving.gateway import GatewayConfig, ServingGateway, warm_gateway
 
 
 def curves_equal(a, b) -> bool:
@@ -250,43 +251,58 @@ class TestGatewayLifecycle:
         assert second.service.cache_info()["cold_fits"] == 0
         assert second.service.cache_info()["refits"] == 0
 
-    def test_tick_checkpoints_on_the_wall_interval(
-        self, small_universe, tmp_path
-    ):
-        clock = ManualClock()
-        gateway = self._gateway(
-            small_universe, tmp_path, clock, snapshot_interval_seconds=300.0
-        )
-        combo = small_universe.combo("c4.large", "us-east-1b")
-        now = small_universe.trace(combo).start + 45 * 86400.0
-        gateway.get(
-            f"/predictions/c4.large/us-east-1b?probability=0.95&now={now}"
-        )
-        gateway.tick(now)
-        assert not (tmp_path / MANIFEST_NAME).exists()  # interval not due
-        clock.advance(301.0)
-        gateway.tick(now)
-        assert (tmp_path / MANIFEST_NAME).exists()
-        assert gateway.metrics.counter("gateway.snapshots").value == 1
-
     def test_snapshot_failure_never_breaks_serving(
         self, small_universe, tmp_path
     ):
         clock = ManualClock()
         blocker = tmp_path / "dir-as-file"
         blocker.write_text("in the way")
-        gateway = self._gateway(
-            small_universe, blocker / "sub", clock,
-            snapshot_interval_seconds=1.0,
-        )
+        gateway = self._gateway(small_universe, blocker / "sub", clock)
         combo = small_universe.combo("c4.large", "us-east-1b")
         now = small_universe.trace(combo).start + 45 * 86400.0
         url = f"/predictions/c4.large/us-east-1b?probability=0.95&now={now}"
+        gateway.start()
         assert gateway.get(url).status == 200
-        clock.advance(2.0)
-        gateway.tick(now)  # checkpoint attempt fails; serving continues
+        gateway.stop()  # the final checkpoint fails; stop() returns
         assert gateway.metrics.counter("gateway.snapshot_failures").value == 1
+        assert gateway.metrics.counter("gateway.snapshots").value == 0
         assert gateway.get(url).status == 200
+
+    def test_warm_gateway_restart_restores_instead_of_fitting(
+        self, small_universe, tmp_path
+    ):
+        """``warm_gateway`` over an intact checkpoint fits nothing: the
+        restart restores every key and serves the bytes it served before."""
+        combos = [
+            ("c4.large", zone)
+            for zone in ("us-east-1b", "us-east-1c", "us-east-1d", "us-east-1e")
+        ]
+        combo = small_universe.combo(*combos[0])
+        now = small_universe.trace(combo).start + 45 * 86400.0
+        urls = [
+            f"/{route}/{itype}/{zone}?probability=0.95&duration=3600&now={now}"
+            for itype, zone in combos
+            for route in ("predictions", "bid")
+        ]
+        config = GatewayConfig(snapshot_dir=str(tmp_path))
+
+        def served(gateway):
+            with gateway:
+                return [
+                    (r.status, encode_body(r.body)) for r in map(gateway.get, urls)
+                ]
+
+        first = warm_gateway(small_universe, combos, now, 0.95, config=config)
+        before = served(first)
+        assert first.service.cache_info()["cold_fits"] == len(combos)
+        assert {status for status, _ in before} == {200}
+
+        second = warm_gateway(small_universe, combos, now, 0.95, config=config)
+        assert served(second) == before
+        info = second.service.cache_info()
+        assert info["cold_fits"] == 0 and info["refits"] == 0
+        counters = second.metrics.snapshot()["counters"]
+        assert counters["gateway.hits"] == len(urls)
 
     def test_save_state_requires_a_directory(self, small_universe):
         gateway = ServingGateway(

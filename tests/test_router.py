@@ -534,6 +534,45 @@ class TestDrainAndReport:
             assert shard_stats["drained"] is True
             assert shard_stats["identity"]["shard"] == sid
 
+    def test_shard_restart_restores_its_checkpoint(self, env, tmp_path):
+        """With a ``snapshot_root`` each shard checkpoints on stop, and a
+        restarted deployment restores instead of fitting, serving the same
+        routed bytes."""
+        universe, keys, start_now = env
+        combos = _parity_combos(universe, keys)
+        urls = [
+            f"/predictions/{t}/{z}?probability=0.95&now={start_now}"
+            for t, z in combos
+        ]
+
+        def run():
+            dep = ShardDeployment(
+                universe,
+                plan_shards(2, combos),
+                start_now=start_now,
+                mode="inline",
+                snapshot_root=str(tmp_path),
+            )
+            dep.start()
+            try:
+                # (status, body) per URL, through the router.
+                bodies = [_get(dep.router.address, url)[::2] for url in urls]
+                cold_fits = {}
+                for sid, url in dep.shard_urls.items():
+                    host, port = url.split("//", 1)[1].split(":")
+                    metrics = _get((host, int(port)), "/metrics")[2]
+                    cold_fits[sid] = json.loads(metrics)["service"]["cold_fits"]
+            finally:
+                assert dep.stop()["drained"] is True
+            return bodies, cold_fits
+
+        before, fitted = run()
+        assert sum(fitted.values()) == len(combos)
+        assert {status for status, _ in before} == {200}
+        after, refitted = run()
+        assert after == before
+        assert refitted == {sid: 0 for sid in fitted}
+
     def test_replay_report_breaks_out_targets(self):
         from repro.serving.replay import ReplayConfig, Replayer, _Record
 

@@ -299,7 +299,7 @@ class TestIncrementalRefresh:
         service.curve("c4.large", zone, self.P, now)
         service.curve("c4.large", zone, self.P, now + 960.0)
         service.curve("c4.large", zone, self.P, now - 5 * DAY)  # rewind
-        service.batch_refresh(now + 91 * DAY)  # gap past the API window
+        service.curve("c4.large", zone, self.P, now + 91 * DAY)  # gap
         info = service.cache_info()
         reasons = info["refit_reasons"]
         assert reasons == {"cold": 1, "rewind": 1, "gap": 1}
@@ -421,51 +421,6 @@ class TestBatchedTick:
         assert info["n"] == len(history) > 0
         assert info["last_now"] == now + 960.0
         assert service.key_info("c4.large", "us-east-1c", self.P) is None
-
-    def test_batch_refresh_sweeps_all_enrolled_keys(self, small_universe):
-        api, service, now = self._fresh(small_universe)
-        for zone in self.ZONES:
-            service.curve("c4.large", zone, self.P, now)
-        later = now + 960.0
-        swept = service.batch_refresh(later)
-        assert swept == {
-            "keys": len(self.ZONES),
-            "refits": 0,
-            "epochs": swept["epochs"],
-            "skipped": 0,
-        }
-        assert swept["epochs"] > 0
-        hits_before = service.cache_info()["hits"]
-        for zone in self.ZONES:
-            # The sweep already published: this is a pure cache hit, and
-            # the curve matches a batch fit at the same instant.
-            assert curves_equal(
-                service.curve("c4.large", zone, self.P, later),
-                self._batch_curve(api, service, zone, later),
-            )
-        assert service.cache_info()["hits"] == hits_before + len(self.ZONES)
-        # A second sweep at the same instant has nothing to do.
-        again = service.batch_refresh(later)
-        assert again == {"keys": 0, "refits": 0, "epochs": 0, "skipped": 2}
-
-    def test_batch_refresh_refits_and_reenrolls_on_gap(self, small_universe):
-        api, service, now = self._fresh(small_universe)
-        service.curve("c4.large", "us-east-1b", self.P, now)
-        # 91 days later the delta window no longer reaches the cursor: the
-        # sweep must refit the key into a fresh ticker slot.
-        far = now + 91 * DAY
-        swept = service.batch_refresh(far)
-        assert swept["refits"] == 1 and swept["keys"] == 0
-        assert service.cache_info()["refit_reasons"] == {"cold": 1, "gap": 1}
-        assert service.cache_info()["batch_keys"] == 1
-        info = service.key_info("c4.large", "us-east-1b", self.P)
-        assert info["last_now"] == far
-        # The refit sweep published the refit curve at ``far``.
-        hits_before = service.cache_info()["hits"]
-        served = service.curve("c4.large", "us-east-1b", self.P, far)
-        oracle = self._batch_curve(api, service, "us-east-1b", far)
-        assert curves_equal(served, oracle)
-        assert service.cache_info()["hits"] == hits_before + 1
 
     def test_eviction_unenrolls_without_ghost_slots(self, small_universe):
         api, service, now = self._fresh(small_universe, max_predictors=1)

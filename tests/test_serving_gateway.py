@@ -11,6 +11,7 @@ import pytest
 from repro.cloud.api import EC2Api
 from repro.service.client import DraftsClient
 from repro.service.drafts_service import DraftsService, ServiceConfig
+from repro.service.rest import encode_body
 from repro.serving.clock import ManualClock
 from repro.serving.gateway import GatewayConfig, ServingGateway
 from repro.serving.store import EntryState
@@ -309,25 +310,6 @@ class TestStaleWhileRevalidate:
         assert gateway.store.state_of(entry, now + 3600.0) is EntryState.FRESH
 
 
-    def test_tick_respects_refresh_budget(self, small_universe):
-        gateway = ServingGateway(
-            DraftsService(EC2Api(small_universe)),
-            GatewayConfig(refresh_budget_per_tick=2),
-            clock=ManualClock(),
-        )
-        combo = small_universe.combo("c4.large", "us-east-1b")
-        now = small_universe.trace(combo).start + 45 * 86400.0
-        for zone in ("us-east-1b", "us-east-1c", "us-east-1d"):
-            gateway.get(
-                f"/predictions/c4.large/{zone}?probability=0.95&now={now}"
-            )
-        # All three entries are stale an hour later; one tick enqueues
-        # only the configured budget.
-        assert gateway.tick(now + 3600.0) == 2
-        assert gateway.refresher.pending_count() == 2
-        with pytest.raises(ValueError):
-            GatewayConfig(refresh_budget_per_tick=0)
-
     def test_snapshot_exposes_service_refresh_split(self, small_universe):
         gateway = ServingGateway(
             DraftsService(EC2Api(small_universe)), clock=ManualClock()
@@ -587,6 +569,62 @@ class TestCircuitBreaker:
         assert response.status == 503
         assert response.body["fallback"] == "ondemand"
         assert response.body["retry_after"] == 60.0
+
+
+class TestNotOffered:
+    """A combination the account does not offer is a 404 on every read.
+    It is not a failing recompute, so it never reaches the breaker, and
+    the gateway keeps no per-key state for it."""
+
+    @staticmethod
+    def _gateway_and_now(small_universe):
+        gateway = ServingGateway(
+            DraftsService(EC2Api(small_universe)), clock=ManualClock()
+        )
+        combo = small_universe.combo("c4.large", "us-east-1b")
+        return gateway, small_universe.trace(combo).start + 45 * 86400.0
+
+    def test_repeated_reads_stay_404_and_never_trip_the_breaker(
+        self, small_universe
+    ):
+        gateway, now = self._gateway_and_now(small_universe)
+        unknown_type = ("zz99.none", "us-east-1b")
+        unoffered_zone = ("c4.large", "us-east-1q")
+        for itype, zone in (unknown_type, unoffered_zone):
+            for url in (
+                f"/predictions/{itype}/{zone}?probability=0.95&now={now}",
+                f"/bid/{itype}/{zone}?probability=0.95&duration=3600&now={now}",
+            ):
+                answers = [gateway.get(url) for _ in range(5)]
+                assert [a.status for a in answers] == [404] * 5, url
+                first = encode_body(answers[0].body)
+                assert all(encode_body(a.body) == first for a in answers), url
+        counters = gateway.metrics.snapshot()["counters"]
+        assert counters["gateway.breaker_trips"] == 0
+        assert counters["gateway.fallbacks"] == 0
+        assert counters["serving.refresh_failures"] == 0
+
+    def test_unknown_urls_do_not_grow_per_key_maps(self, small_universe):
+        gateway, now = self._gateway_and_now(small_universe)
+        warm = f"/predictions/c4.large/us-east-1b?probability=0.95&now={now}"
+        assert gateway.get(warm).status == 200
+        assert gateway.get(warm).status == 200
+
+        def map_sizes():
+            breaker = gateway._breaker
+            return (
+                sum(len(shard.popularity) for shard in gateway.store._shards),
+                len(breaker._failures),
+                len(breaker._open_until),
+                len(breaker._probes),
+            )
+
+        before = map_sizes()
+        for i in range(200):
+            url = f"/predictions/zz{i}.none/us-east-1b?probability=0.95&now={now}"
+            assert gateway.get(url).status == 404
+        assert map_sizes() == before
+        assert gateway.store.popularity(("c4.large", "us-east-1b", 0.95)) == 1
 
 
 class TestDeadlines:

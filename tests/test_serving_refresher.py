@@ -128,67 +128,6 @@ class TestBackgroundRefresher:
         assert refresher.run_pending() == 2
         assert refreshed == [hot, cold]  # same age, popularity breaks the tie
 
-    def test_scan_enqueues_only_stale_entries(self):
-        store, _, refresher = self._refresher(lambda key, now: None)
-        fresh = ("fresh", "zone", 0.95)
-        stale = ("stale", "zone", 0.95)
-        store.put(fresh, None, computed_at=10_000.0)
-        store.put(stale, None, computed_at=0.0)
-        assert refresher.scan(now=10_100.0) == 1
-        assert refresher.pending_count() == 1
-        assert refresher.run_pending() == 1
-        # The stale entry was recomputed at the scan instant.
-        assert store.peek(stale).computed_at == 10_100.0
-
-    def test_scan_budget_keeps_highest_priority_keys(self):
-        refreshed = []
-        store, _, refresher = self._refresher(
-            lambda key, now: refreshed.append(key)
-        )
-        keys = [(f"type-{i}", "zone", 0.95) for i in range(5)]
-        for i, key in enumerate(keys):
-            store.put(key, None, computed_at=0.0)
-            for _ in range(i):  # key i has popularity i
-                store.lookup(key, 5000.0)
-        assert refresher.scan(now=5000.0, budget=2) == 2
-        assert refresher.run_pending() == 2
-        # The two most popular stale keys won the budget.
-        assert sorted(refreshed) == sorted(keys[-2:])
-        with pytest.raises(ValueError):
-            refresher.scan(now=5000.0, budget=-1)
-
-    def test_drain_groups_same_probability_together(self):
-        """The drain is batch-grouped: once a probability level is picked,
-        its whole backlog drains before another level starts — same-config
-        keys hit the service's batched tick back to back."""
-        refreshed = []
-        store, _, refresher = self._refresher(
-            lambda key, now: refreshed.append(key)
-        )
-        keys = [
-            (f"type-{i}", "zone", prob)
-            for i in range(3)
-            for prob in (0.95, 0.99)
-        ]
-        for i, key in enumerate(keys):
-            store.put(key, None, computed_at=0.0)
-            for _ in range(i):  # distinct popularity: interleaves levels
-                store.lookup(key, 5000.0)
-        assert refresher.scan(now=5000.0) == len(keys)
-        assert refresher.run_pending() == len(keys)
-        probs = [key[2] for key in refreshed]
-        switches = sum(a != b for a, b in zip(probs, probs[1:]))
-        assert switches == 1  # one contiguous run per probability level
-        # Within the winning group, priority order still rules.
-        first = [k for k in refreshed if k[2] == probs[0]]
-        pops = [keys.index(k) for k in first]
-        assert pops == sorted(pops, reverse=True)
-
-    def test_scan_budget_larger_than_backlog_is_unbinding(self):
-        store, _, refresher = self._refresher(lambda key, now: None)
-        store.put(KEY, None, computed_at=0.0)
-        assert refresher.scan(now=5000.0, budget=100) == 1
-
     def test_poke_keeps_latest_instant(self):
         seen = []
         _, _, refresher = self._refresher(

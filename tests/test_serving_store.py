@@ -61,10 +61,12 @@ class TestStates:
 class TestBookkeeping:
     def test_popularity_and_last_now(self):
         store = ShardedCurveStore()
+        store.lookup(KEY, 100.0)  # not stored yet: not counted
+        assert store.popularity(KEY) == 0
+        store.put(KEY, None, 0.0)
         store.lookup(KEY, 100.0)
-        store.lookup(KEY, 50.0)  # earlier instant must not regress last_now
+        store.lookup(KEY, 50.0)
         assert store.popularity(KEY) == 2
-        assert store.last_requested_now(KEY) == 100.0
         assert store.popularity(OTHER) == 0
 
     def test_peek_does_not_record(self):
@@ -79,7 +81,6 @@ class TestBookkeeping:
         store.put(OTHER, None, 0.0)
         store.put(KEY, None, 0.0)
         assert store.keys() == sorted([KEY, OTHER])
-        assert store.requested_keys() == sorted([KEY, OTHER])
 
     def test_invalidate(self):
         store = ShardedCurveStore()
@@ -87,17 +88,6 @@ class TestBookkeeping:
         assert store.invalidate(KEY)
         assert not store.invalidate(KEY)
         assert len(store) == 0
-
-    def test_stale_keys_census(self):
-        store = ShardedCurveStore(n_shards=4, refresh_seconds=900.0)
-        fresh = ("fresh", "zone", 0.95)
-        store.put(fresh, None, computed_at=10_000.0)
-        store.put(KEY, None, computed_at=0.0)
-        store.put(OTHER, None, computed_at=0.0)
-        assert store.stale_keys(now=10_100.0) == sorted([KEY, OTHER])
-        # A future-computed entry counts as stale too (backtest rewinds).
-        assert store.stale_keys(now=10.0) == [fresh]
-        assert fresh not in store.stale_keys(now=10_050.0)
 
     def test_stats_census(self):
         store = ShardedCurveStore(n_shards=4, refresh_seconds=900.0)

@@ -6,8 +6,9 @@ test here pins the batched structure-of-arrays path to the scalar reference
 with exact comparisons, across the hard cases that shaped the code — QBETS
 change-point epochs, per-key ladder re-anchors mid-batch, keys joining and
 leaving the universe mid-run, zero-delta epochs where only a subset of keys
-tick, snapshot/restore, and the frozen-key backtest replay whose censor
-instant must match the batch predictor's interior-``t_idx`` convention.
+tick, the per-key snapshot handoff, and the frozen-key backtest replay
+whose censor instant must match the batch predictor's interior-``t_idx``
+convention.
 """
 
 from __future__ import annotations
@@ -256,112 +257,6 @@ class TestEjectHandoff:
         )
         with pytest.raises(ValueError):
             ticker.key_snapshot("frozen")
-
-
-class TestSnapshotRestore:
-    """Mirrors ``test_online.py::TestSnapshotRestore`` for the whole
-    universe: a restored ticker must be bit-identical to the survivor."""
-
-    def test_restored_tracks_survivor_after_more_epochs(self):
-        n_epochs = 6 * EPD
-        traces = make_traces(n_epochs)
-        keys = sorted(traces)
-        half = n_epochs // 2
-        survivor = UniverseTicker(CONFIG)
-        for k in keys:
-            survivor.add_key(k, instance_type=k, zone="z")
-        for t in range(half):
-            survivor.observe(
-                float(traces[keys[0]].times[t]),
-                np.array([traces[k].prices[t] for k in keys]),
-            )
-        restored = UniverseTicker.from_snapshot(survivor.to_snapshot())
-        assert restored.keys() == survivor.keys()
-        for t in range(half, n_epochs):
-            prices = np.array([traces[k].prices[t] for k in keys])
-            time = float(traces[keys[0]].times[t])
-            survivor.observe(time, prices)
-            restored.observe(time, prices)
-            if t % 131 == 0 or t == n_epochs - 1:
-                sc, rc = survivor.curves(), restored.curves()
-                for k in keys:
-                    assert curves_equal(rc[k], sc[k]), f"t={t} {k}"
-                    for d in DURATIONS:
-                        assert_floats_equal(
-                            restored.bid_for(k, d), survivor.bid_for(k, d)
-                        )
-
-    def test_disk_round_trip_is_bit_exact(self, tmp_path):
-        """The framed ``.snap`` on-disk format (kind ``"universe"``), with
-        a live and a frozen key in the same checkpoint."""
-        from repro.service.persistence import (
-            read_universe_snapshot,
-            write_universe_snapshot,
-        )
-
-        trace = generate_trace("spiky", 0.42, n_epochs=5 * EPD, rng=8)
-        fitted = DraftsPredictor(trace, CONFIG)
-        half = len(trace) // 2
-        ticker = UniverseTicker(CONFIG)
-        ticker.add_key("live", instance_type="it", zone="z")
-        ticker.add_key(
-            ("frozen", "z", 0.95),
-            bounds=fitted._bounds,
-            final_bound=fitted._final_bound,
-            levels=fitted._ladder.levels,
-            max_price=fitted.config.max_price,
-        )
-        for t in range(half):
-            price = float(trace.prices[t])
-            ticker.observe(float(trace.times[t]), [price, price])
-
-        path = tmp_path / "universe.snap"
-        write_universe_snapshot(path, ticker)
-        restored = read_universe_snapshot(path)
-        assert restored.keys() == ticker.keys()
-        for t in range(half, len(trace)):
-            price = float(trace.prices[t])
-            for tk in (ticker, restored):
-                tk.observe(float(trace.times[t]), [price, price])
-        assert curves_equal(
-            restored.curve_for("live"), ticker.curve_for("live")
-        )
-        for d in DURATIONS:
-            assert_floats_equal(
-                restored.bid_for(("frozen", "z", 0.95), d),
-                ticker.bid_for(("frozen", "z", 0.95), d),
-            )
-
-    def test_damaged_file_is_rejected(self, tmp_path):
-        from repro.service.persistence import (
-            SnapshotError,
-            read_universe_snapshot,
-            write_universe_snapshot,
-        )
-
-        ticker = UniverseTicker(CONFIG)
-        ticker.add_key("k")
-        path = tmp_path / "universe.snap"
-        write_universe_snapshot(path, ticker)
-        raw = path.read_bytes()
-        path.write_bytes(raw[: len(raw) - 7])  # torn write
-        with pytest.raises(SnapshotError):
-            read_universe_snapshot(path)
-
-    def test_snapshot_does_not_alias_live_state(self):
-        trace = generate_trace("calm", 0.42, n_epochs=3 * EPD, rng=5)
-        half = len(trace) // 2
-        ticker = UniverseTicker(CONFIG)
-        ticker.add_key("k")
-        for t in range(half):
-            ticker.observe(float(trace.times[t]), [float(trace.prices[t])])
-        frozen = ticker.to_snapshot()
-        bound_then = ticker.price_bound("k")
-        for t in range(half, len(trace)):
-            ticker.observe(float(trace.times[t]), [float(trace.prices[t])])
-        restored = UniverseTicker.from_snapshot(frozen)
-        assert restored.n("k") == half
-        assert_floats_equal(restored.price_bound("k"), bound_then)
 
 
 class TestFrozenReplay:
