@@ -1,20 +1,35 @@
 #!/usr/bin/env bash
-# Local CI: lint (when ruff is available) + the tier-1 test suite.
+# Local CI: lint (when ruff is available), the tier-1 test suite, the
+# benchmark smoke and the end-to-end smokes.
+#
+# Every step runs even when an earlier one fails; the failed steps are
+# listed at the end and the script then exits non-zero.
 #
 # Usage: scripts/check.sh [extra pytest args...]
-set -euo pipefail
+set -uo pipefail
 
 cd "$(dirname "$0")/.."
 
+failed=()
+
+# step NAME CMD [ARGS...]: run one step, remembering it if it fails.
+step() {
+    local name="$1"
+    shift
+    echo "== $name =="
+    if ! "$@"; then
+        echo "-- step failed: $name"
+        failed+=("$name")
+    fi
+}
+
 if command -v ruff >/dev/null 2>&1; then
-    echo "== ruff check =="
-    ruff check src tests benchmarks examples
+    step "ruff check" ruff check src tests benchmarks examples
 else
     echo "== ruff not installed; skipping lint =="
 fi
 
-echo "== tier-1 tests =="
-PYTHONPATH=src python -m pytest -x -q "$@"
+step "tier-1 tests" env PYTHONPATH=src python -m pytest -x -q "$@"
 
 # Smoke-run the benchmark suite: --benchmark-disable executes every bench
 # body once without timing rounds, so import errors and broken experiment
@@ -23,35 +38,40 @@ PYTHONPATH=src python -m pytest -x -q "$@"
 # bench, whose acceptance checks (refresh equivalence, coalescing,
 # accounting) are fast enough to always run.
 if [ "${CHECK_SKIP_BENCH:-0}" != "1" ]; then
-    echo "== benchmark smoke (--benchmark-disable) =="
-    PYTHONPATH=src python -m pytest benchmarks/ -q --benchmark-disable
+    step "benchmark smoke (--benchmark-disable)" \
+        env PYTHONPATH=src python -m pytest benchmarks/ -q --benchmark-disable
 else
-    echo "== serving bench smoke (--benchmark-disable) =="
-    PYTHONPATH=src python -m pytest benchmarks/bench_serving.py -q --benchmark-disable
+    step "serving bench smoke (--benchmark-disable)" \
+        env PYTHONPATH=src python -m pytest benchmarks/bench_serving.py -q \
+        --benchmark-disable
 fi
 
 # Universe-tick smoke: advance a 32-key universe through the vectorised
 # structure-of-arrays path in lockstep with per-key scalar predictors and
 # require bit-identical curves and bids at every checkpoint (~2 s). Exits
 # non-zero on the first divergence.
-echo "== universe tick smoke (batch vs scalar bit-identity) =="
-PYTHONPATH=src python -m repro universe-smoke --keys 32
+step "universe tick smoke (batch vs scalar bit-identity)" \
+    env PYTHONPATH=src python -m repro universe-smoke --keys 32
 
 # Universe-fit smoke: batch-fit a 32-key universe (ragged history lengths)
 # through the structure-of-arrays phase-1 fitter and require bit-identical
 # bound series, change points, ladders and bids against per-key scalar
 # fits (~3 s); then smoke-run the gating benchmark body once untimed.
-echo "== universe fit smoke (batch vs scalar bit-identity) =="
-PYTHONPATH=src python -m repro fit-smoke --keys 32
-PYTHONPATH=src python -m pytest benchmarks/bench_universe_fit.py -q --benchmark-disable
+step "universe fit smoke (batch vs scalar bit-identity)" \
+    env PYTHONPATH=src python -m repro fit-smoke --keys 32
+step "universe fit bench smoke (--benchmark-disable)" \
+    env PYTHONPATH=src python -m pytest benchmarks/bench_universe_fit.py -q \
+    --benchmark-disable
 
 # Seeded chaos smoke: faulty history API at 10% error rate plus a mid-run
 # snapshot/restore round-trip with one deliberately torn file. Exits
 # non-zero if any serving invariant (metrics conservation, breaker
 # sequencing, stale-never-error, snapshot restore) is violated.
-echo "== chaos smoke (seeded fault injection) =="
-PYTHONPATH=src python -m repro chaos --requests 120 --error-rate 0.1 --seed 7 >/dev/null \
-    && echo "chaos invariants hold"
+chaos_smoke() {
+    PYTHONPATH=src python -m repro chaos --requests 120 --error-rate 0.1 \
+        --seed 7 >/dev/null && echo "chaos invariants hold"
+}
+step "chaos smoke (seeded fault injection)" chaos_smoke
 
 # Socket round trip: spawn the gateway on a real ephemeral port and replay
 # a few hundred open-loop requests against it (~2 s). Exercises the full
@@ -59,10 +79,11 @@ PYTHONPATH=src python -m repro chaos --requests 120 --error-rate 0.1 --seed 7 >/
 # executor offload, graceful drain — and the replayer's SLO accounting;
 # exits non-zero if the error rate blows up or the server fails to drain
 # cleanly.
-echo "== serve+replay smoke (real socket round trip) =="
-PYTHONPATH=src python -m repro replay --spawn --requests 300 --rate 300 \
-    --warmup 30 --seed 7 >/dev/null \
-    && echo "socket replay round trip ok"
+replay_smoke() {
+    PYTHONPATH=src python -m repro replay --spawn --requests 300 --rate 300 \
+        --warmup 30 --seed 7 >/dev/null && echo "socket replay round trip ok"
+}
+step "serve+replay smoke (real socket round trip)" replay_smoke
 
 # Router smoke: boot two forked shard workers behind the consistent-hash
 # front tier, assert the partition is exhaustive and disjoint (worker
@@ -71,5 +92,12 @@ PYTHONPATH=src python -m repro replay --spawn --requests 300 --rate 300 \
 # (200/400/404/503/504 plus a cross-shard /cheapest merge, a fragment and
 # a repeated query key: one route table on every process), then drain
 # the whole deployment cleanly. Exits non-zero on the first divergence.
-echo "== router smoke (2 forked shards, byte parity + clean drain) =="
-PYTHONPATH=src python -m repro router-smoke --keys 4 --shards 2
+step "router smoke (2 forked shards, byte parity + clean drain)" \
+    env PYTHONPATH=src python -m repro router-smoke --keys 4 --shards 2
+
+if [ "${#failed[@]}" -ne 0 ]; then
+    echo "== ${#failed[@]} step(s) failed =="
+    printf '  %s\n' "${failed[@]}"
+    exit 1
+fi
+echo "== all steps passed =="

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.cloud.ondemand import OnDemandTier
 from repro.cloud.spot import SpotRun, SpotTier
 from repro.market import catalog
@@ -125,21 +127,28 @@ class EC2Api:
         announcements with ``since < time < now`` are returned (still
         clipped to the same 90-day window, through the same obfuscation
         path), and ``None`` signals an empty delta. Pass the timestamp of
-        the last announcement already consumed; rows are never re-stamped
-        in this form, so a cold full fetch followed by delta fetches sees
-        the exact announcement sequence a one-shot full fetch would.
+        the last announcement already consumed. While the cursor lies
+        inside the window, rows are the trace's own announcements, taken
+        by two binary searches in O(delta) — so a cold full fetch followed
+        by delta fetches sees the exact announcement sequence a one-shot
+        full fetch would. A cursor older than the window start returns the
+        whole window, whose first row is re-stamped at the window start
+        like the full fetch's; the incremental service never asks for
+        that, because it refits on such a gap instead.
         """
         combo = self._universe.combo(instance_type, self._physical_zone(zone))
         trace = self._universe.trace(combo)
-        window = trace.window_before(now, HISTORY_WINDOW_SECONDS)
-        if since is None:
+        start = max(trace.start, now - HISTORY_WINDOW_SECONDS)
+        if since is None or since < start or now <= trace.start:
+            window = trace.window_before(now, HISTORY_WINDOW_SECONDS)
             return window.with_labels(instance_type, zone)
-        keep = window.times > since
-        if not keep.any():
+        lo = int(np.searchsorted(trace.times, since, side="right"))
+        hi = int(np.searchsorted(trace.times, now, side="left"))
+        if lo >= hi:
             return None
         return PriceTrace(
-            window.times[keep].copy(),
-            window.prices[keep].copy(),
+            trace.times[lo:hi].copy(),
+            trace.prices[lo:hi].copy(),
             instance_type,
             zone,
         )

@@ -514,79 +514,73 @@ class UniverseTicker:
             return np.asarray(self._order, dtype=np.int64)
         return np.asarray([self._index[k] for k in keys], dtype=np.int64)
 
-    def observe(self, time: float, prices, keys=None) -> None:
-        """Consume one epoch's announcements for ``keys`` (default: all).
+    def observe(self, time, prices, keys=None) -> None:
+        """Consume announcements for ``keys`` (default: all).
 
-        ``prices`` is aligned with ``keys`` (or with :meth:`keys` order).
-        Keys without an announcement this epoch are simply omitted — the
-        zero-delta case — and keep answering from their existing history.
+        One epoch: ``time`` is a scalar and ``prices`` is aligned with
+        ``keys`` (or with :meth:`keys` order). A window: ``time`` holds W
+        strictly increasing timestamps shared by the keys and ``prices``
+        is ``(K, W)``, exactly equivalent to W one-epoch calls — live keys
+        still run their W scalar QBETS updates in order — but with one
+        pass of array writes and one suffix-pointer sweep
+        (:meth:`_append`, shared with :meth:`extend_frozen`). Keys without
+        an announcement are simply omitted — the zero-delta case — and
+        keep answering from their existing history.
         """
         idx = self._slot_ids(keys)
+        t = np.asarray(time, dtype=np.float64)
         p = np.asarray(prices, dtype=np.float64)
-        if p.shape != (idx.size,):
+        if t.ndim == 0:
+            if p.shape != (idx.size,):
+                raise ValueError("prices must align with the ticked keys")
+            t = t.reshape(1)
+            p = p.reshape(idx.size, 1)
+        elif p.shape != (idx.size, t.size):
             raise ValueError("prices must align with the ticked keys")
-        if idx.size == 0:
+        if idx.size == 0 or t.size == 0:
             return
-        if np.any(p <= 0):
-            raise ValueError("price must be positive")
-        time = float(time)
-        n = self._n[idx]
-        started = n > 0
-        if started.any():
-            lt = self._times[idx[started], n[started] - 1]
-            if np.any(time <= lt):
-                raise ValueError("announcements must arrive in time order")
-        self._grow_history(int(n.max()) + 1)
-        self._times[idx, n] = time
-        self._prices[idx, n] = p
+        n = self._check_window(idx, t, p)
+        w = t.size
         # Phase 1: per-key scalar QBETS (live) / precomputed gather (frozen).
-        # The loop body is just the unavoidable QBETS call; pre-update
-        # bound recording and envelope maintenance happen as batched array
-        # ops below (same values, same order as the scalar predictor).
+        # The loops are just the unavoidable QBETS calls, one announcement
+        # column at a time (a live key's bound before announcement j + 1 is
+        # what its update j returned); pre-update bound recording and
+        # envelope maintenance happen as batched array ops below (same
+        # values, same order as the scalar predictor).
         slots = self._slots
-        pl = p.tolist()
+        b = np.empty((idx.size, w))
         live_pos: list[int] = []
-        live_bounds: list[float] = []
-        new_bounds: list[float] = []
-        frozen_pos: list[int] = []
+        qs: list[QBETS] = []
         for pos, s in enumerate(idx.tolist()):
-            q = slots[s].qbets
-            if q is not None:
+            slot = slots[s]
+            if slot.qbets is not None:
                 live_pos.append(pos)
-                live_bounds.append(q.bound)
-                new_bounds.append(q.update(pl[pos]))
-            else:
-                frozen_pos.append(pos)
-        if live_pos:
+                qs.append(slot.qbets)
+                continue
+            fb = slot.frozen_bounds
+            c = int(n[pos])
+            known = fb[c : c + w]
+            b[pos, : known.size] = known
+            b[pos, known.size :] = np.nan
+            self._bnow[s] = fb[c + w] if c + w < fb.size else slot.frozen_final
+        if qs:
             lpos = np.array(live_pos)
             ls = idx[lpos]
-            b = np.array(live_bounds)
-            self._bounds[ls, n[lpos]] = b
-            self._bnow[ls] = new_bounds
-            ok = ~np.isnan(b)
-            if ok.any():
-                es = ls[ok]
-                self._blo[es] = np.minimum(self._blo[es], b[ok])
-                self._bhi[es] = np.maximum(self._bhi[es], b[ok])
             lp = p[lpos]
-            self._plo[ls] = np.minimum(self._plo[ls], lp)
-            self._phi[ls] = np.maximum(self._phi[ls], lp)
-        for pos in frozen_pos:
-            s = int(idx[pos])
-            t = int(n[pos])
-            slot = slots[s]
-            fb = slot.frozen_bounds
-            self._bounds[s, t] = fb[t] if t < fb.size else np.nan
-            self._bnow[s] = (
-                fb[t + 1] if t + 1 < fb.size else slot.frozen_final
-            )
-        # Phase 2 eager work: one vectorised suffix-pointer update. A rung
-        # whose level this epoch's price reaches resolves its whole
-        # unresolved suffix at start index t (merged lazily on query).
-        reached = (self._levels[idx] <= p[:, None]).sum(axis=1)
-        rung_hit = np.arange(self._rung_cap)[None, :] < reached[:, None]
-        self._last[idx] = np.where(rung_hit, n[:, None], self._last[idx])
-        self._n[idx] = n + 1
+            pre = []
+            after = [q.bound for q in qs]
+            for column in lp.T.tolist():
+                pre.append(after)
+                after = [q.update(price) for q, price in zip(qs, column)]
+            lb = np.array(pre).T
+            b[lpos] = lb
+            self._bnow[ls] = after
+            # fmin/fmax skip the nan bounds of a warming-up tracker.
+            self._blo[ls] = np.fmin(self._blo[ls], np.fmin.reduce(lb, axis=1))
+            self._bhi[ls] = np.fmax(self._bhi[ls], np.fmax.reduce(lb, axis=1))
+            self._plo[ls] = np.minimum(self._plo[ls], lp.min(axis=1))
+            self._phi[ls] = np.maximum(self._phi[ls], lp.max(axis=1))
+        self._append(idx, n, t, p, b)
 
     def tick(self, time: float, prices, keys=None) -> dict:
         """One epoch: :meth:`observe` + :meth:`curves` for the same keys."""
@@ -598,9 +592,10 @@ class UniverseTicker:
 
         The backtest replay's fast-forward between query epochs: exactly
         equivalent to one :meth:`observe` call per column of ``times`` for
-        ``keys`` (default: all, which must then all be frozen), but the
-        per-epoch Python round trips collapse into a handful of array
-        writes plus one chunked suffix-pointer sweep.
+        ``keys`` (default: all, which must then all be frozen), with the
+        caller's bound matrix in place of the keys' own bound series —
+        the same array writes and suffix-pointer sweep as a window
+        :meth:`observe` (:meth:`_append`).
 
         Parameters
         ----------
@@ -634,36 +629,59 @@ class UniverseTicker:
                 raise ValueError(
                     "extend_frozen only applies to frozen (backtest) keys"
                 )
-        n = self._n[idx]
-        n0 = int(n[0]) if n.size else 0
-        if np.any(n != n0):
-            raise ValueError(
-                "extend_frozen needs a uniform history length across keys"
-            )
-        if np.any(np.diff(t) <= 0):
-            raise ValueError("announcements must arrive in time order")
-        if n0 and np.any(t[0] <= self._times[idx, n0 - 1]):
-            raise ValueError("announcements must arrive in time order")
-        if np.any(p <= 0):
-            raise ValueError("price must be positive")
-        self._grow_history(n0 + w)
-        self._times[idx, n0 : n0 + w] = t[None, :]
-        self._prices[idx, n0 : n0 + w] = p
-        self._bounds[idx, n0 : n0 + w] = b
+        if idx.size == 0:
+            return
+        n = self._check_window(idx, t, p)
         self._bnow[idx] = bn
-        # Suffix pointers: the last in-window exceedance per (key, rung),
-        # chunked so the (keys x rungs x window) cube stays cache-sized.
+        self._append(idx, n, t, p, b)
+
+    def _check_window(self, idx, t, p) -> np.ndarray:
+        """Validate a window for :meth:`_append`; the keys' history lengths."""
+        if (p <= 0).any():
+            raise ValueError("price must be positive")
+        n = self._n[idx]
+        started = n > 0
+        if (t[1:] <= t[:-1]).any() or (
+            started.any()
+            and (t[0] <= self._times[idx[started], n[started] - 1]).any()
+        ):
+            raise ValueError("announcements must arrive in time order")
+        return n
+
+    def _append(self, idx, n, t, p, b) -> None:
+        """Write a window of announcements and sweep the suffix pointers.
+
+        The array half of :meth:`observe` and :meth:`extend_frozen`: key
+        ``idx[i]`` gets timestamps ``t`` (W,), prices ``p[i]`` and
+        pre-update bounds ``b[i]`` at columns ``n[i] .. n[i] + W - 1``. A
+        rung whose level a window price reaches has resolved every start
+        up to the last such column (merged lazily on query), so its
+        suffix pointer moves there — one sweep, chunked so the (keys x
+        rungs x window) cube stays cache-sized.
+        """
+        w = t.size
+        self._grow_history(int(n.max()) + w)
+        if (n == n[0]).all():  # the common case: one block of columns
+            rows, cols = idx, slice(int(n[0]), int(n[0]) + w)
+        else:
+            rows, cols = idx[:, None], n[:, None] + np.arange(w)
+        self._times[rows, cols] = t
+        self._prices[rows, cols] = p
+        self._bounds[rows, cols] = b
         levels = self._levels[idx]
         cur = self._last[idx]
         chunk = max(1, 4_000_000 // max(1, idx.size * self._rung_cap))
         for c0 in range(0, w, chunk):
             c1 = min(w, c0 + chunk)
+            if c1 - c0 == 1:  # one column (the universe tick): no search
+                hit = p[:, c0, None] >= levels
+                cur = np.where(hit, (n + c0)[:, None], cur)
+                continue
             hit = p[:, None, c0:c1] >= levels[:, :, None]
-            any_hit = hit.any(axis=2)
-            last_in = n0 + c1 - 1 - np.argmax(hit[:, :, ::-1], axis=2)
-            cur = np.where(any_hit, last_in, cur)
+            last_in = (n + c1 - 1)[:, None] - np.argmax(hit[:, :, ::-1], axis=2)
+            cur = np.where(hit.any(axis=2), last_in, cur)
         self._last[idx] = cur
-        self._n[idx] = n0 + w
+        self._n[idx] = n + w
 
     # -- phase-1 state -------------------------------------------------------
 

@@ -310,8 +310,7 @@ class DraftsService:
         if reason is not None:
             return self._fit(ticker, key, state, now, reason)
         if delta is not None:
-            for t, price in zip(delta.times.tolist(), delta.prices.tolist()):
-                ticker.observe(t, (price,), (key,))
+            ticker.observe(delta.times, delta.prices[None, :], (key,))
             state.cursor = delta.end
             state.curve = ticker.curve_for(key)
         # A zero-announcement delta republishes the identical curve: the

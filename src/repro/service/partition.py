@@ -81,7 +81,13 @@ class PartitionedApi:
     def zones_for_cheapest(
         self, instance_type: str, region: str
     ) -> tuple[str, ...]:
-        """The zones the ``/cheapest`` scan should visit for this type."""
+        """The zones the ``/cheapest`` scan should visit for this type.
+
+        Only non-empty answers are cached, so the cache holds at most one
+        entry per owned ``(type, region)``: a URL naming a type the account
+        does not offer (or a region it does not have) is answered afresh,
+        and a flood of such URLs cannot grow it.
+        """
         key = (instance_type, region)
         cached = self._scan_cache.get(key)
         if cached is None:
@@ -89,7 +95,8 @@ class PartitionedApi:
             cached = tuple(
                 z for z in zones if (instance_type, z) in self._owned
             )
-            self._scan_cache[key] = cached
+            if cached:
+                self._scan_cache[key] = cached
         return cached
 
     def describe_spot_price_history(

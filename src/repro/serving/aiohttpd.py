@@ -67,7 +67,7 @@ import socket
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
-from repro.service.rest import encode_body
+from repro.service.rest import encode_body, parse_route
 from repro.serving.gateway import ServingGateway
 from repro.serving.httpcore import (
     HeadLoopProtocol,
@@ -148,25 +148,30 @@ class _GatewayProtocol(HeadLoopProtocol):
     ) -> None:
         """Write a warm 200, reusing its cached wire encoding.
 
-        A warm curve is immutable and its body is a pure function of
-        (curve, URL), so the JSON encoding — the single largest cost on
-        the inline path, dominated by float repr — is byte-stable until a
-        refresh swaps the curve object. The cache is validated by object
-        identity against the curve the probe saw; a refresh landing
+        A warm curve is immutable. A ``predictions`` body is the curve's
+        own dict, whatever the URL's ``now``, so its JSON encoding — the
+        single largest cost on the inline path, dominated by float repr —
+        is keyed by the curve object and shared by every URL that reads
+        it; a ``bid`` body also names the URL's duration and stays keyed
+        by URL. Either encoding is byte-stable until a refresh swaps the
+        curve object. Entries are validated by object identity against
+        the curve the probe saw (a ``predictions`` entry holds its curve,
+        so the id key cannot be reused while it lives); a refresh landing
         between probe and dispatch makes one entry mis-keyed for one
         request, and the next probe (seeing the new object) re-encodes.
         The gateway call above still runs in full, so every counter,
         gauge and histogram ticks exactly as on the uncached path.
         """
         cache = self.server._encode_cache
-        cached = cache.get(path)
+        key = id(curve) if parse_route(path).kind == "predictions" else path
+        cached = cache.get(key)
         if cached is not None and cached[0] is curve:
             payload = cached[1]
         else:
             payload = encode_body(body)
             if len(cache) >= 4096:
                 cache.clear()  # bounded; refreshes strand dead entries
-            cache[path] = (curve, payload)
+            cache[key] = (curve, payload)
         self.write(render_response(status, payload, close=close), close)
 
 
@@ -210,9 +215,10 @@ class AsyncGatewayHTTPServer:
         self._inflight_requests = 0
         self._draining = False
         self._gate: asyncio.Semaphore | None = None
-        # url -> (curve, payload): wire encodings of warm 200s, validated
-        # by curve object identity (see _GatewayProtocol._write_encoded).
-        self._encode_cache: dict[str, tuple[object, bytes]] = {}
+        # id(curve) for predictions, url for bid -> (curve, payload): wire
+        # encodings of warm 200s, validated by curve object identity (see
+        # _GatewayProtocol._write_encoded).
+        self._encode_cache: dict[int | str, tuple[object, bytes]] = {}
         # Resolved once at start(): the registry lookup is lock-protected
         # and would otherwise run on every request.
         self._requests_total = None

@@ -5,6 +5,25 @@ import pytest
 
 from repro.cloud.api import HISTORY_WINDOW_SECONDS, EC2Api
 from repro.market.obfuscation import AccountView
+from repro.market.universe import Universe, UniverseConfig
+
+DAY = 86400.0
+
+
+@pytest.fixture(scope="module")
+def long_universe() -> Universe:
+    """101 days of 5-minute epochs: long enough for the 90-day window to
+    start past the trace start, off the epoch grid."""
+    return Universe(UniverseConfig(seed=5, n_epochs=101 * 288))
+
+
+def _window_then_mask(trace, now, since):
+    """The cursor form's reference: the full window, then ``time > since``."""
+    window = trace.window_before(now, HISTORY_WINDOW_SECONDS)
+    keep = window.times > since
+    if not keep.any():
+        return None
+    return window.times[keep], window.prices[keep]
 
 
 class TestMetadata:
@@ -109,6 +128,69 @@ class TestDeltaHistory:
         )
         np.testing.assert_array_equal(delta.times, full.times)
         np.testing.assert_array_equal(delta.prices, full.prices)
+
+    def test_since_before_mid_epoch_window_returns_restamped_window(
+        self, long_universe
+    ):
+        """A cursor older than a window that starts mid-epoch returns the
+        whole window, first row re-stamped at the window start — exactly
+        the full fetch (the service refits on such a gap instead)."""
+        api = EC2Api(long_universe)
+        trace = long_universe.trace(long_universe.combo("c4.large", "us-east-1b"))
+        now = trace.start + 100 * DAY + 150.0
+        full = api.describe_spot_price_history("c4.large", "us-east-1b", now)
+        since = now - HISTORY_WINDOW_SECONDS - 1000.0
+        delta = api.describe_spot_price_history(
+            "c4.large", "us-east-1b", now, since=since
+        )
+        assert full.start == now - HISTORY_WINDOW_SECONDS > trace.start
+        assert (full.start - trace.start) % 300.0 == 150.0  # off the grid
+        np.testing.assert_array_equal(delta.times, full.times)
+        np.testing.assert_array_equal(delta.prices, full.prices)
+        assert (delta.instance_type, delta.zone) == ("c4.large", "us-east-1b")
+
+    @pytest.mark.parametrize("universe_name", ["small_universe", "long_universe"])
+    def test_since_form_matches_window_then_mask(self, universe_name, request):
+        """The O(delta) cursor fetch returns the rows the full window
+        masked by ``time > since`` holds, for cursors inside, at and
+        before the window start and for empty deltas."""
+        universe = request.getfixturevalue(universe_name)
+        api = EC2Api(universe)
+        trace = universe.trace(universe.combo("c4.large", "us-east-1b"))
+        checked = 0
+        for now in (
+            trace.start + 45 * DAY,
+            trace.start + 45 * DAY + 150.0,
+            trace.end - 10 * DAY + 0.5,
+            trace.end + 3 * DAY,
+        ):
+            start = max(trace.start, now - HISTORY_WINDOW_SECONDS)
+            last = trace.times[np.searchsorted(trace.times, now) - 1]
+            for since in (
+                start - DAY,
+                start - 1.0,
+                start,
+                start + 1.0,
+                start + 300.0,
+                now - 1000.0,
+                now - 300.0,
+                float(last) - 1.0,
+                float(last),
+                now,
+                now + 1.0,
+            ):
+                got = api.describe_spot_price_history(
+                    "c4.large", "us-east-1b", now, since=since
+                )
+                want = _window_then_mask(trace, now, since)
+                if want is None:
+                    assert got is None, (now, since)
+                    continue
+                np.testing.assert_array_equal(got.times, want[0])
+                np.testing.assert_array_equal(got.prices, want[1])
+                assert (got.instance_type, got.zone) == ("c4.large", "us-east-1b")
+                checked += 1
+        assert checked > 20
 
     def test_delta_respects_obfuscated_zone_names(self, small_universe):
         view = AccountView("us-east-1", {"b": "c", "c": "d", "d": "e", "e": "b"})

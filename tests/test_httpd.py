@@ -276,6 +276,66 @@ class TestParity:
                 assert status == 200
                 assert body == encode_body({"status": "ok"})
 
+    def test_predictions_encoding_is_shared_per_curve(
+        self, env, server_cls, monkeypatch
+    ):
+        """The encoded-response cache keys a ``predictions`` payload by its
+        curve: URLs of one key that differ only in ``now`` share one
+        encoding, a refresh that swaps the curve re-encodes, and ``bid``
+        payloads (which carry the URL's duration) stay keyed per URL."""
+        from repro.serving import aiohttpd
+
+        encoded = []
+
+        def counting_encode(body):
+            encoded.append(body)
+            return encode_body(body)
+
+        monkeypatch.setattr(aiohttpd, "encode_body", counting_encode)
+        universe, keys, start_now = env
+        (t, z, p), _ = keys
+        key = (t, z, p)
+
+        def predictions(now):
+            return f"/predictions/{t}/{z}?probability={p}&now={now}"
+
+        def bid(now):
+            return f"/bid/{t}/{z}?probability={p}&duration=3600.0&now={now}"
+
+        gateway = _gateway(universe)
+        assert gateway.get(predictions(start_now)).status == 200  # warm
+        with server_cls(gateway, HttpdConfig()) as server:
+            conn = HTTPConnection(*server.address, timeout=10)
+
+            def fetch(url):
+                conn.request("GET", url)
+                response = conn.getresponse()
+                assert response.status == 200
+                return response.read()
+
+            try:
+                first = fetch(predictions(start_now))
+                second = fetch(predictions(start_now + 60.0))
+                curve = gateway.store.peek(key).curve
+                assert first == second == encode_body(curve.to_dict())
+                assert len(encoded) == 1
+                bids = [fetch(bid(start_now)), fetch(bid(start_now + 60.0))]
+                assert fetch(bid(start_now)) == bids[0]
+                assert len(encoded) == 3  # one per bid URL; the repeat hits
+                assert bids[0] == bids[1]
+                assert bids[0] == encode_body(gateway.get(bid(start_now)).body)
+
+                later = start_now + 2 * 900.0
+                entry, _ = gateway.refresher.refresh(key, later)
+                assert entry.curve is not curve
+                swapped = fetch(predictions(later))
+                assert len(encoded) == 4
+                assert swapped == encode_body(entry.curve.to_dict())
+                assert fetch(predictions(later + 60.0)) == swapped
+                assert len(encoded) == 4
+            finally:
+                conn.close()
+
     def test_gateway_shed_is_byte_identical(self, env, server_cls):
         """429 from admission control, compared while a request is held
         in flight on the single slot."""

@@ -145,6 +145,39 @@ class TestRingAndPartition:
             RouterServer(partition, {"s0": "http://127.0.0.1:1"})
 
 
+class TestPartitionedScanCache:
+    def test_unknown_cheapest_urls_do_not_grow_the_zone_cache(self, env):
+        """A shard caches its ``/cheapest`` zone list per owned (type,
+        region) only: a flood of URLs naming unknown types or regions
+        leaves the cache at its owned size, and owned answers keep their
+        account zone order."""
+        universe, keys, start_now = env
+        t, z, p = keys[0]
+        region = region_of_zone(z)
+        api = EC2Api(universe)
+        zones = api.describe_availability_zones(region)
+        other = next(x for x in ("c4.large", "m4.large") if x != t)
+        view = PartitionedApi(
+            api,
+            [(t, zones[1]), (t, zones[0]), (other, zones[0]), (other, zones[-1])],
+        )
+        gateway = ServingGateway(
+            DraftsService(view, ServiceConfig(probabilities=(p,))),
+            GatewayConfig(max_inflight=256),
+        )
+        assert view.zones_for_cheapest(t, region) == (zones[0], zones[1])
+        before = dict(view._scan_cache)
+        for i in range(2000):
+            for url in (
+                f"/cheapest/zz{i}.none/{region}?probability={p}&now={start_now}",
+                f"/cheapest/{t}/zz-none-{i}?probability={p}&now={start_now}",
+            ):
+                assert gateway.get(url).status == 503
+        assert view._scan_cache == before
+        assert view.zones_for_cheapest("zz0.none", region) == ()
+        assert view.zones_for_cheapest(t, region) == (zones[0], zones[1])
+
+
 def _quote(instance_type, region, zone, bid):
     """A shard's 200 ``/cheapest`` answer: (raw wire bytes, body bytes)."""
     body = encode_body(

@@ -357,6 +357,170 @@ class TestFrozenReplay:
             )
 
 
+def _assert_same_state(a, b, path: str) -> None:
+    """Recursive bit-equality of snapshot-shaped values (nan == nan)."""
+    if isinstance(a, dict):
+        assert a.keys() == b.keys(), path
+        for k in a:
+            _assert_same_state(a[k], b[k], f"{path}.{k}")
+    elif isinstance(a, np.ndarray):
+        assert a.dtype == b.dtype and np.array_equal(
+            a, b, equal_nan=a.dtype.kind == "f"
+        ), path
+    elif isinstance(a, (list, tuple)):
+        assert len(a) == len(b), path
+        for i, (x, y) in enumerate(zip(a, b)):
+            _assert_same_state(x, y, f"{path}[{i}]")
+    elif isinstance(a, float):
+        assert_floats_equal(a, b)
+    else:
+        assert a == b, path
+
+
+def _assert_same_slot(window, stepped, key) -> None:
+    """Every piece of a key's ticker state, window vs one-epoch calls:
+    its snapshot (histories incl. the bounds, envelopes, QBETS state),
+    the current bound and the per-rung suffix pointers."""
+    _assert_same_state(
+        window.key_snapshot(key), stepped.key_snapshot(key), str(key)
+    )
+    a, b = window._index[key], stepped._index[key]
+    assert_floats_equal(float(window._bnow[a]), float(stepped._bnow[b]))
+    np.testing.assert_array_equal(window._last[a], stepped._last[b])
+    _assert_suffix_pointers(window, key)
+
+
+def _assert_suffix_pointers(ticker, key) -> None:
+    """Each rung's suffix pointer is its level's last exceedance in the
+    key's price history — recomputed here from scratch, independently of
+    the ticker's sweep."""
+    s = ticker._index[key]
+    prices = ticker._prices[s, : ticker.n(key)]
+    for r in range(int(ticker._nr[s])):
+        hits = np.flatnonzero(prices >= ticker._levels[s, r])
+        assert ticker._last[s, r] == (hits[-1] if hits.size else -1), (key, r)
+
+
+class TestWindowObserve:
+    """``observe`` over a window — W timestamps, (K, W) prices — is W
+    one-epoch calls in one: the service hands each refresh's whole delta
+    to one call."""
+
+    #: Window sizes cycled through the run: empty, single and many
+    #: announcements, some straddling the spiky key's change point.
+    SIZES = (0, 1, 3, 2, 0, 7, 1, 40, 3, 150, 1, 11, 0, 64)
+
+    def test_window_equals_one_epoch_calls(self):
+        n_epochs = 6 * EPD
+        traces = make_traces(n_epochs)
+        keys = sorted(traces)
+        spiky_key = next(k for k in keys if k.startswith("spiky"))
+        cps = DraftsPredictor(traces[spiky_key], CONFIG).changepoints
+        assert len(cps) > 0, "fixture must trigger a QBETS reset"
+        late = keys[-1]
+        late_from = n_epochs // 3  # joins cold: keys differ in history length
+
+        window, stepped = UniverseTicker(CONFIG), UniverseTicker(CONFIG)
+        scalars = {k: OnlineDraftsPredictor(CONFIG) for k in keys}
+        for ticker in (window, stepped):
+            for k in keys[:-1]:
+                ticker.add_key(k)
+        ladders_seen = {k: set() for k in keys}
+        windows_over_cp = 0
+        t = i = 0
+        while t < n_epochs:
+            if t == late_from:
+                for ticker in (window, stepped):
+                    ticker.add_key(late)
+            w = min(self.SIZES[i % len(self.SIZES)], n_epochs - t)
+            if t < late_from:
+                w = min(w, late_from - t)
+            i += 1
+            if any(t < cp < t + w for cp in cps):
+                windows_over_cp += 1
+            order = window.keys()
+            times = traces[keys[0]].times[t : t + w]
+            prices = np.array([traces[k].prices[t : t + w] for k in order])
+            window.observe(times, prices, keys=order)
+            for j in range(w):
+                stepped.observe(float(times[j]), prices[:, j], keys=order)
+                for pos, k in enumerate(order):
+                    scalars[k].observe(float(times[j]), float(prices[pos, j]))
+            t += w
+            got, ref = window.curves(), stepped.curves()
+            for k in order:
+                _assert_same_slot(window, stepped, k)
+                _assert_same_state(
+                    window.key_snapshot(k), scalars[k].to_snapshot(), k
+                )
+                assert curves_equal(got[k], ref[k]), f"t={t} {k}"
+                assert curves_equal(got[k], scalars[k].curve()), f"t={t} {k}"
+                for d in DURATIONS:
+                    assert_floats_equal(
+                        window.bid_for(k, d), stepped.bid_for(k, d)
+                    )
+                if got[k] is not None:
+                    ladders_seen[k].add(got[k].bids)
+        # The run must cover a QBETS change point inside one window and a
+        # ladder relayout between windows for the equivalence to mean
+        # anything.
+        assert windows_over_cp > 0
+        assert any(len(s) > 1 for s in ladders_seen.values())
+
+    def test_frozen_window_equals_one_epoch_calls(self):
+        trace = generate_trace("spiky", 0.42, n_epochs=4 * EPD, rng=13)
+        pred = DraftsPredictor(trace, CONFIG)
+        window, stepped = UniverseTicker(CONFIG), UniverseTicker(CONFIG)
+        for ticker in (window, stepped):
+            ticker.add_key(
+                "k",
+                bounds=pred._bounds,
+                final_bound=pred._final_bound,
+                levels=pred._ladder.levels,
+                max_price=pred.config.max_price,
+            )
+        n = len(trace)
+        for lo, hi in ((0, 300), (300, 301), (301, 301), (301, n - 9), (n - 9, n)):
+            window.observe(trace.times[lo:hi], trace.prices[None, lo:hi])
+            for j in range(lo, hi):
+                stepped.observe(float(trace.times[j]), [float(trace.prices[j])])
+            a, b = window._index["k"], stepped._index["k"]
+            for name in ("_times", "_prices", "_bounds", "_last"):
+                np.testing.assert_array_equal(
+                    getattr(window, name)[a, :hi], getattr(stepped, name)[b, :hi]
+                )
+            assert_floats_equal(float(window._bnow[a]), float(stepped._bnow[b]))
+            _assert_suffix_pointers(window, "k")
+            assert curves_equal(window.curve_for("k"), stepped.curve_for("k"))
+            if hi < n:
+                # The batch predictor is the oracle at the query instant.
+                for d in (1800.0, 3600.0, 86400.0):
+                    now = float(trace.times[hi])
+                    assert_floats_equal(
+                        window.bid_for("k", d, now=now), pred.bid_for(d, hi)
+                    )
+
+    def test_window_validation_leaves_state_untouched(self):
+        ticker = UniverseTicker(CONFIG)
+        ticker.add_key("a")
+        ticker.add_key("b")
+        ticker.observe([0.0, 300.0], [[0.1, 0.2], [0.1, 0.1]])
+        before = {k: ticker.key_snapshot(k) for k in ("a", "b")}
+        bad = (
+            ([600.0, 900.0], [[0.1, 0.2]]),  # misaligned keys
+            ([600.0, 900.0], [[0.1], [0.2]]),  # misaligned window
+            ([600.0, 600.0], [[0.1, 0.2], [0.1, 0.1]]),  # repeated time
+            ([300.0, 600.0], [[0.1, 0.2], [0.1, 0.1]]),  # not after history
+            ([600.0, 900.0], [[0.1, 0.2], [0.1, 0.0]]),  # non-positive price
+        )
+        for times, prices in bad:
+            with pytest.raises(ValueError):
+                ticker.observe(times, prices)
+            for k in ("a", "b"):
+                _assert_same_state(ticker.key_snapshot(k), before[k], k)
+        assert ticker.n("a") == ticker.n("b") == 2
+
+
 class TestTickerMechanics:
     def test_rejects_ablation_configs(self):
         for override in (
