@@ -85,6 +85,16 @@ replay_smoke() {
 }
 step "serve+replay smoke (real socket round trip)" replay_smoke
 
+# The same round trip through the multi-process mode: two forked shard
+# workers behind the consistent-hash router, the replayer driving the
+# router's front URL (~4 s). Exits non-zero under the same conditions.
+sharded_replay_smoke() {
+    PYTHONPATH=src python -m repro replay --spawn --shards 2 --requests 300 \
+        --rate 300 --warmup 30 --seed 7 >/dev/null \
+        && echo "sharded socket replay round trip ok"
+}
+step "serve --shards + replay smoke (routed round trip)" sharded_replay_smoke
+
 # Router smoke: boot two forked shard workers behind the consistent-hash
 # front tier, assert the partition is exhaustive and disjoint (worker
 # /healthz identities vs the planned assignment, distinct pids), compare

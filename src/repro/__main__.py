@@ -27,14 +27,13 @@ Commands:
     structure-of-arrays phase-1 fitter and verify bound series, change
     points, ladders and bid queries are bit-identical to per-key scalar
     ``DraftsPredictor`` fits; exits non-zero on the first divergence.
-``serve [--scale test] [--keys N] [--host H] [--port P] [--workers N | --shards N]``
+``serve [--scale test] [--keys N] [--host H] [--port P] [--shards N]``
     Stand the serving gateway up behind a real listening socket (the
     asyncio front end: ``/predictions``, ``/bid``, ``/cheapest``,
     ``/healthz``, ``/metrics``) and run until interrupted; Ctrl-C drains
-    gracefully. ``--workers N`` forks N SO_REUSEPORT processes sharing
-    the port; ``--shards N`` partitions the keys across N forked workers
-    behind the consistent-hash router.
-``replay [--url U | --spawn [--workers N | --shards N]] [--requests N] [--rate R] ...``
+    gracefully. ``--shards N`` partitions the keys across N forked
+    workers behind the consistent-hash router.
+``replay [--url U | --spawn [--shards N]] [--requests N] [--rate R] ...``
     Replay an open-loop (diurnal x Zipf) workload against a serving socket
     and print the tail SLO table. ``--spawn`` brings up an in-process
     server on an ephemeral port (optionally with seeded latency spikes)
@@ -353,8 +352,23 @@ def _replay_universe(args: argparse.Namespace):
     return predictable_keys(universe, args.keys, args.probability)
 
 
-def _serve_one(args: argparse.Namespace, *, reuse_port: bool, banner: bool) -> int:
-    """Build a warm gateway, serve until SIGINT, drain, report."""
+def _serve_until_interrupted(stop) -> int:
+    """Block until Ctrl-C, then drain through ``stop()`` and report."""
+    import time
+
+    print("Ctrl-C to drain and stop")
+    try:
+        while True:
+            time.sleep(1.0)
+    except KeyboardInterrupt:
+        pass
+    stats = stop()
+    print(f"\nstopped: drained={stats['drained']}")
+    return 0 if stats["drained"] else 1
+
+
+def _serve_one(args: argparse.Namespace) -> int:
+    """`serve`: one warm gateway behind one listening socket."""
     from repro.serving.aiohttpd import AsyncGatewayHTTPServer
     from repro.serving.gateway import GatewayConfig, warm_gateway
     from repro.serving.httpd import HttpdConfig
@@ -375,33 +389,17 @@ def _serve_one(args: argparse.Namespace, *, reuse_port: bool, banner: bool) -> i
             host=args.host,
             port=args.port,
             max_connections=args.max_connections,
-            reuse_port=reuse_port,
         ),
     )
     server.start()
-    if banner:
-        print(f"serving {len(keys)} warm key(s) on {server.url}")
-        print(f"  warm simulation instant: now={start_now}")
-        for key in keys:
-            print(
-                f"  /predictions/{key[0]}/{key[1]}"
-                f"?probability={key[2]}&now={start_now}"
-            )
-        print("Ctrl-C to drain and stop")
-    try:
-        import time as time_module
-
-        while True:
-            time_module.sleep(1.0)
-    except KeyboardInterrupt:
-        pass
-    stats = server.stop()
-    if banner:
+    print(f"serving {len(keys)} warm key(s) on {server.url}")
+    print(f"  warm simulation instant: now={start_now}")
+    for key in keys:
         print(
-            f"\nstopped: drained={stats['drained']} "
-            f"forced_close={stats['forced_close']}"
+            f"  /predictions/{key[0]}/{key[1]}"
+            f"?probability={key[2]}&now={start_now}"
         )
-    return 0 if stats["drained"] else 1
+    return _serve_until_interrupted(server.stop)
 
 
 def _serve_sharded(args: argparse.Namespace) -> int:
@@ -438,90 +436,13 @@ def _serve_sharded(args: argparse.Namespace) -> int:
             f"  {sid}: {deployment.shard_urls[sid]} "
             f"({len(partition.combos_of(sid))} combos)"
         )
-    print("Ctrl-C to drain and stop")
-    try:
-        import time as time_module
-
-        while True:
-            time_module.sleep(1.0)
-    except KeyboardInterrupt:
-        pass
-    stats = deployment.stop()
-    print(f"\nstopped: drained={stats['drained']}")
-    return 0 if stats["drained"] else 1
+    return _serve_until_interrupted(deployment.stop)
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    if args.workers < 1:
-        print("serve: --workers must be >= 1", file=sys.stderr)
-        return 2
     if args.shards > 0:
-        if args.workers > 1:
-            print(
-                "serve: --shards and --workers are mutually exclusive",
-                file=sys.stderr,
-            )
-            return 2
         return _serve_sharded(args)
-    if args.workers == 1:
-        return _serve_one(args, reuse_port=False, banner=True)
-    # Multi-loop mode: N processes bind the same port via SO_REUSEPORT and
-    # the kernel spreads connections across them (one event loop is one
-    # core).
-    if args.port == 0:
-        print(
-            "serve: --workers requires an explicit --port "
-            "(ephemeral binds would scatter across ports)",
-            file=sys.stderr,
-        )
-        return 2
-    import os
-
-    children = []
-    for _ in range(args.workers - 1):
-        pid = os.fork()
-        if pid == 0:  # worker child: serve quietly until SIGINT
-            os._exit(_serve_one(args, reuse_port=True, banner=False))
-        children.append(pid)
-    print(f"{args.workers} workers sharing port {args.port} (SO_REUSEPORT)")
-    status = _serve_one(args, reuse_port=True, banner=True)
-    for pid in children:
-        _, wait_status = os.waitpid(pid, 0)
-        if os.waitstatus_to_exitcode(wait_status) != 0:
-            status = 1
-    return status
-
-
-def _replica_builder(universe, keys, start_now, args: argparse.Namespace):
-    """A :class:`ForkedWorker` builder for one full-universe replica.
-
-    Runs in the forked child: fits all keys (batch fit), primes the
-    store, and serves on an ephemeral port.
-    """
-
-    def build(worker_id: str):
-        import os
-
-        from repro.serving.aiohttpd import AsyncGatewayHTTPServer
-        from repro.serving.gateway import warm_gateway
-        from repro.serving.httpd import HttpdConfig
-
-        gateway = warm_gateway(
-            universe,
-            [key[:2] for key in keys],
-            start_now,
-            args.probability,
-            identity={
-                "shard": worker_id,
-                "pid": os.getpid(),
-                "owned_keys": len(keys),
-            },
-        )
-        return AsyncGatewayHTTPServer(
-            gateway, HttpdConfig(max_connections=256)
-        ).start()
-
-    return build
+    return _serve_one(args)
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
@@ -557,12 +478,10 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         start_now=start_now,
     )
 
-    server = None
-    deployment = None
-    workers = []
+    spawned = None  # the spawned server or deployment; both drain on stop()
     spiker = None
     if args.spawn:
-        if (args.shards > 0 or args.workers > 1) and args.spike_rate > 0:
+        if args.shards > 0 and args.spike_rate > 0:
             print(
                 "replay: --spike-rate needs the single-process spawn "
                 "(the spike hook lives in one server)",
@@ -576,27 +495,15 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 
             universe = scaled_universe(args.scale)
             combos = sorted({(key[0], key[1]) for key in keys})
-            deployment = ShardDeployment(
+            spawned = ShardDeployment(
                 universe,
                 plan_shards(args.shards, combos),
                 start_now=start_now,
                 probabilities=(args.probability,),
                 mode="fork",
             )
-            deployment.start()
-            urls = [deployment.router.url]
-        elif args.workers > 1:
-            # Forked full-universe replicas, one ephemeral port each, so
-            # the EWMA/quarantine tracker sees real per-worker targets
-            # instead of one SO_REUSEPORT URL the kernel muddles.
-            from repro.serving.router import ForkedWorker
-
-            universe = scaled_universe(args.scale)
-            build = _replica_builder(universe, keys, start_now, args)
-            workers = [
-                ForkedWorker(build, f"w{i}") for i in range(args.workers)
-            ]
-            urls = [worker.wait_ready(180.0) for worker in workers]
+            spawned.start()
+            url = spawned.router.url
         else:
             from repro.serving.aiohttpd import AsyncGatewayHTTPServer
             from repro.serving.chaos import FaultConfig, ReplaySpiker
@@ -625,34 +532,20 @@ def _cmd_replay(args: argparse.Namespace) -> int:
                 start_now,
                 args.probability,
             )
-            server = AsyncGatewayHTTPServer(gateway, httpd_cfg, spike=spiker)
-            server.start()
-            urls = [server.url]
-    elif args.shards > 0 or args.workers > 1:
-        print(
-            "replay: --shards/--workers only apply with --spawn",
-            file=sys.stderr,
-        )
+            spawned = AsyncGatewayHTTPServer(gateway, httpd_cfg, spike=spiker)
+            spawned.start()
+            url = spawned.url
+    elif args.shards > 0:
+        print("replay: --shards only applies with --spawn", file=sys.stderr)
         return 2
     else:
-        urls = [args.url]
+        url = args.url
     drain = None
     try:
-        report = Replayer(urls, keys, replay_cfg).run()
+        report = Replayer(url, keys, replay_cfg).run()
     finally:
-        if server is not None:
-            drain = server.stop()
-        elif deployment is not None:
-            drain = deployment.stop()
-        elif workers:
-            per_worker = {
-                worker.worker_id: worker.terminate(15.0)
-                for worker in workers
-            }
-            drain = {
-                "drained": all(s.get("drained") for s in per_worker.values()),
-                "workers": per_worker,
-            }
+        if spawned is not None:
+            drain = spawned.stop()
     if drain is not None:
         report.setdefault("drain", drain)
     if spiker is not None:
@@ -679,8 +572,9 @@ def _cmd_router_smoke(args: argparse.Namespace) -> int:
       scatter-gathered ``/cheapest``), and ``/healthz#x`` answered as
       ``/healthz`` by the router and every shard;
     * **404 stays 404** — a combination the account does not offer
-      (an unknown type; a known type in a zone that does not exist)
-      answers 404 on each of four reads, on both sides;
+      (an unknown type; a known type in a zone that does not exist),
+      and a ``/cheapest`` scan of an unknown region or type, answers
+      404 on each of four reads, on both sides;
     * **drain** — router and every worker drain cleanly on stop.
     """
     import http.client
@@ -799,6 +693,8 @@ def _cmd_router_smoke(args: argparse.Namespace) -> int:
             f"/predictions/zz99.none/{zone}?probability={prob}&now={start_now}",
             f"/bid/{itype}/{region}q"
             f"?probability={prob}&duration=3600.0&now={start_now}",
+            f"/cheapest/{itype}/zz-none?probability={prob}&now={start_now}",
+            f"/cheapest/zz99.none/{region}?probability={prob}&now={start_now}",
         ]
         for path in cases + not_found * 4:
             expected = single.get(path)
@@ -833,8 +729,8 @@ def _cmd_router_smoke(args: argparse.Namespace) -> int:
         f"router-smoke: ok — {len(combos)} combos over "
         f"{args.shards} forked shards, partition exhaustive and "
         f"disjoint, routed bytes identical on "
-        f"{len(cases)} paths plus /healthz#x, {len(not_found)} unoffered "
-        f"combos 404 on 4 reads each, clean drain"
+        f"{len(cases)} paths plus /healthz#x, {len(not_found)} unknown "
+        f"names 404 on 4 reads each, clean drain"
     )
     return 0
 
@@ -936,13 +832,6 @@ def main(argv: list[str] | None = None) -> int:
         "final checkpoint after the drain)",
     )
     p_srv.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="SO_REUSEPORT worker processes (requires an explicit "
-        "--port); the kernel spreads connections across loops",
-    )
-    p_srv.add_argument(
         "--shards",
         type=int,
         default=0,
@@ -991,14 +880,6 @@ def main(argv: list[str] | None = None) -> int:
         help="seeded server-side latency-spike rate (--spawn only)",
     )
     p_rep.add_argument("--spike-seconds", type=float, default=0.25)
-    p_rep.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="spawn N forked full-universe replicas, one ephemeral port "
-        "each, and replay across all of them (requires --spawn); "
-        "the EWMA tracker sees one target per worker",
-    )
     p_rep.add_argument(
         "--shards",
         type=int,

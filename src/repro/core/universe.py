@@ -435,7 +435,10 @@ class UniverseTicker:
             if online is not None:
                 slot.qbets = online._qbets
                 n = online.n
-                self._grow_history(n)
+                # An adopted key is live: reserve room for the
+                # announcements it will observe, so the first refresh
+                # does not reallocate every slot's history.
+                self._grow_history(n + n // 8)
                 self._n[s] = n
                 self._times[s, :n] = online._times[:n]
                 self._prices[s, :n] = online._prices[:n]

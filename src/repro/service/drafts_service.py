@@ -181,6 +181,8 @@ class DraftsService:
         self._incremental_refreshes = 0
         self._refit_reasons: dict[str, int] = {}
         self._evictions = 0
+        # (regions, instance types) the account knows; fixed, read lazily.
+        self._known_names: tuple[frozenset, frozenset] | None = None
 
     @property
     def config(self) -> ServiceConfig:
@@ -686,6 +688,25 @@ class DraftsService:
             return float("nan")
         return curve.bid_for_duration(duration_seconds)
 
+    def check_scan_names(self, instance_type: str, region: str) -> None:
+        """Raise ``KeyError`` unless the account knows ``region`` and
+        ``instance_type``.
+
+        Every ``/cheapest`` scan makes this check before it visits a zone,
+        so a name the account does not know answers 404, as a
+        ``/predictions`` read of it does, not a retryable-looking 503.
+        """
+        known = self._known_names
+        if known is None:
+            known = self._known_names = (
+                frozenset(self._api.describe_regions()),
+                frozenset(self._api.describe_instance_types()),
+            )
+        if region not in known[0]:
+            raise KeyError(f"unknown region {region!r}")
+        if instance_type not in known[1]:
+            raise KeyError(f"unknown instance type {instance_type!r}")
+
     def cheapest_zone(
         self,
         instance_type: str,
@@ -695,8 +716,11 @@ class DraftsService:
     ) -> tuple[str, float]:
         """AZ with the lowest minimum bid and that bid (§4.2's fitness rule).
 
-        Raises ``RuntimeError`` when no AZ has enough history yet.
+        Raises ``KeyError`` for a region or type the account does not know
+        (:meth:`check_scan_names`) and ``RuntimeError`` when no AZ has
+        enough history yet.
         """
+        self.check_scan_names(instance_type, region)
         best_zone, best_bid = "", math.inf
         for zone in self._api.describe_availability_zones(region):
             try:

@@ -7,8 +7,8 @@ like the single-process service *on owned combos* and must refuse to fit
 anything else — a misrouted request should surface as an error, not
 silently duplicate another shard's work and memory.
 
-:class:`PartitionedApi` wraps the underlying API and intercepts exactly
-two surfaces:
+:class:`PartitionedApi` wraps the underlying API and intercepts three
+reads:
 
 * :meth:`describe_spot_price_history` — the fit path. Owned combos pass
   straight through; unowned combos raise ``KeyError``. Combos unknown to
@@ -20,6 +20,7 @@ two surfaces:
   every zone it owns for *other* types; the hook narrows the scan to the
   zones owned for the queried type, preserving the account's zone order
   so scatter-gather tie-breaks reproduce the single-process answer.
+* :meth:`describe_availability_zones` — the owned zones of a region.
 
 Everything else (regions, instance types, on-demand prices, spot
 requests) delegates verbatim: those reads are cheap, global, and needed
@@ -72,8 +73,8 @@ class PartitionedApi:
     def describe_availability_zones(self, region: str) -> tuple[str, ...]:
         """The owned zones of ``region`` (any type), in account order.
 
-        An unknown region raises the account's own ``KeyError`` so error
-        bodies stay byte-identical to the unpartitioned service.
+        An unknown region has no zones: the answer is ``()``, as the
+        account's own is.
         """
         zones = self._api.describe_availability_zones(region)
         return tuple(z for z in zones if z in self._zones)

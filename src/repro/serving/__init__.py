@@ -23,8 +23,8 @@ stale meanwhile), not on a timer:
 * :mod:`repro.serving.aiohttpd` — the gateway behind a real listening
   socket on a single-threaded asyncio event loop (``python -m repro
   serve``): keep-alive, graceful drain, backlog overflow surfaced as
-  shed, executor offload for blocking handlers, ``SO_REUSEPORT``
-  multi-loop fan-out; its knobs are :class:`~repro.serving.httpd.HttpdConfig`;
+  shed, executor offload for blocking handlers; its knobs are
+  :class:`~repro.serving.httpd.HttpdConfig`;
 * :mod:`repro.serving.router` — the consistent-hash shard router in
   front of N such servers (``python -m repro serve --shards N``);
 * :mod:`repro.serving.replay` — the open-loop socket replayer
@@ -52,12 +52,7 @@ from repro.serving.loadgen import (
 )
 from repro.serving.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.serving.refresher import BackgroundRefresher, SingleFlight
-from repro.serving.replay import (
-    EwmaTracker,
-    ReplayConfig,
-    Replayer,
-    format_slo_report,
-)
+from repro.serving.replay import ReplayConfig, Replayer, format_slo_report
 from repro.serving.store import (
     CurveEntry,
     CurveKey,
@@ -75,7 +70,6 @@ __all__ = [
     "CurveKey",
     "DiurnalEnvelope",
     "EntryState",
-    "EwmaTracker",
     "FaultConfig",
     "FaultyApi",
     "FaultyCompute",

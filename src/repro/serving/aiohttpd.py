@@ -23,7 +23,7 @@ The contract:
   sheds the kernel accept-queue backlog, and only then checkpoints and
   stops the gateway.
 
-Three event-loop-specific decisions:
+Two event-loop-specific decisions:
 
 * **inline fast path** — most requests are warm-store reads the gateway
   answers in microseconds; paying a thread-pool round trip for each would
@@ -42,11 +42,6 @@ Three event-loop-specific decisions:
   semaphore: the loop keeps serving socket I/O while at most
   ``executor_workers`` handlers run, and excess requests queue on the
   (async) semaphore instead of spawning threads.
-* **SO_REUSEPORT fan-out** — one loop is one core. ``reuse_port=True``
-  lets N server processes (``python -m repro serve --workers N``)
-  bind the same port and have the kernel spread connections across
-  loops; the replayer's EWMA/quarantine routing needs no changes to
-  drive them.
 
 Read timeouts are enforced by one coarse idle reaper rather than a
 per-read ``asyncio.wait_for``: arming and cancelling a timer for every
@@ -73,6 +68,7 @@ from repro.serving.httpcore import (
     HeadLoopProtocol,
     Headers,
     SpikeHook,
+    bind_listener,
     body_response,
     dispatch,
     render_response,
@@ -270,20 +266,9 @@ class AsyncGatewayHTTPServer:
             self._gateway.config.retry_after_seconds
         )
         self._encode_cache.clear()
-        # Bind synchronously so `address` is concrete before start() returns
-        # (and clients can already queue in the backlog).
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        try:
-            listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            if self._cfg.reuse_port:
-                listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
-            listener.bind((self._cfg.host, self._cfg.port))
-            listener.listen(self._cfg.backlog)
-            listener.setblocking(False)
-        except BaseException:
-            listener.close()
-            raise
-        self._listener = listener
+        self._listener = bind_listener(
+            self._cfg.host, self._cfg.port, self._cfg.backlog
+        )
         self._executor = ThreadPoolExecutor(
             max_workers=self._cfg.executor_workers,
             thread_name_prefix="aiohttpd-handler",

@@ -553,7 +553,7 @@ def run_slo_benchmark(config: SloBenchConfig | None = None) -> dict:
     server.start()
     try:
         replayer = Replayer(
-            [server.url],
+            server.url,
             keys,
             ReplayConfig(
                 n_requests=cfg.n_requests,
@@ -592,7 +592,7 @@ def run_slo_benchmark(config: SloBenchConfig | None = None) -> dict:
         demo_server.start()
         try:
             report = Replayer(
-                [demo_server.url],
+                demo_server.url,
                 keys,
                 ReplayConfig(
                     n_requests=cfg.hedge_demo_requests,
@@ -656,7 +656,7 @@ def _replay_waves(server, keys, cfg, start_now: float) -> dict:
     # is under a second, the garbage fits).
     for wave in range(cfg.waves):
         replayer = _RecordingReplayer(
-            [server.url],
+            server.url,
             keys,
             ReplayConfig(
                 n_requests=cfg.n_requests,

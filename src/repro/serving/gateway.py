@@ -662,6 +662,7 @@ class ServingGateway:
         instance_type, region = route.instance_type, route.location
         probability, now = route.probability, route.now
         self._check_probability(probability)
+        self._service.check_scan_names(instance_type, region)
         best_zone, best_bid = "", math.inf
         for zone in self._scan_zones(instance_type, region):
             try:

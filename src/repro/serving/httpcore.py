@@ -24,6 +24,8 @@ Contents:
 * :func:`shed_response_bytes` / :func:`shed_connection` — the canned 429
   written raw (no head parsed) to a connection shed at the accept gate,
   and the no-RST sequence that delivers it;
+* :func:`bind_listener` — the listening socket both front ends accept
+  on;
 * :func:`sweep_backlog` — accept-and-shed every connection sitting in
   the kernel accept queue, closing the drain race where a client that
   connected after the stop-accepting gate would otherwise be reset by
@@ -47,6 +49,7 @@ __all__ = [
     "BadRequest",
     "HeadLoopProtocol",
     "Headers",
+    "bind_listener",
     "body_response",
     "canned_response",
     "dispatch",
@@ -228,6 +231,24 @@ async def shed_connection(sock: socket.socket, shed_bytes: bytes) -> None:
         pass  # peer already gone or stalled past the linger budget
     finally:
         sock.close()
+
+
+def bind_listener(host: str, port: int, backlog: int) -> socket.socket:
+    """A bound, listening, non-blocking TCP socket on ``(host, port)``.
+
+    Bound synchronously, so a server's address is concrete (and clients
+    can already queue in the backlog) before its event loop starts.
+    """
+    listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    try:
+        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+        listener.bind((host, port))
+        listener.listen(backlog)
+        listener.setblocking(False)
+    except BaseException:
+        listener.close()
+        raise
+    return listener
 
 
 async def sweep_backlog(listener: socket.socket, shed_bytes: bytes) -> int:

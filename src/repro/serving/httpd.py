@@ -31,10 +31,6 @@ class HttpdConfig:
         connections.
     request_timeout_seconds:
         Idle keep-alive read timeout (reaps dead peers).
-    reuse_port:
-        Bind with ``SO_REUSEPORT`` so several server processes can share
-        one port and let the kernel spread accepted connections across
-        them (the ``--workers`` fan-out mode).
     executor_workers:
         Threads in the executor that runs gateway handler calls off the
         event loop (blocking work — cold-miss fits, ``/cheapest`` scans,
@@ -50,7 +46,6 @@ class HttpdConfig:
     backlog: int = 128
     drain_timeout_seconds: float = 10.0
     request_timeout_seconds: float = 30.0
-    reuse_port: bool = False
     executor_workers: int = 8
 
     def __post_init__(self) -> None:

@@ -3,27 +3,24 @@
 The replayer closes the measurement loop the ROADMAP asks for: a
 diurnal-enveloped, Zipf-skewed request stream (the *same* arrival-process
 generators the in-process bench uses, :mod:`repro.serving.loadgen`) is
-replayed over real HTTP connections against one or more targets, and the
-outcome is a tail SLO report — p50/p99/p99.9 latency, shed rate, timeout
-rate, hedge-win rate, achieved vs offered throughput.
+replayed over real HTTP connections against one base URL (a single
+server, or the shard router's front), and the outcome is a tail SLO
+report — p50/p99/p99.9 latency, shed rate, timeout rate, hedge-win rate,
+achieved vs offered throughput.
 
 Design points (the workload-replayer idiom):
 
-* **persistent session pools** — per-target stacks of keep-alive
-  ``http.client`` connections, reused across requests;
+* **persistent session pool** — a stack of keep-alive HTTP/1.1
+  connections, reused across requests;
 * **open-loop arrival** — requests are dispatched when the *clock* says
   so, never when the previous response lands, so server overload shows up
   as queueing delay and shed, not as a politely slowed-down client;
 * **warmup drop** — the first ``warmup_requests`` records are executed
   but excluded from the SLO table;
 * **hedged requests** — after an adaptive delay (observed p95 × a
-  multiplier, floored) an idle request is raced against a second copy,
-  first response wins; launches and wins are accounted separately;
-* **EWMA latency tracking with slow-target quarantine** — per-target
-  exponentially weighted latency; a target whose EWMA exceeds a multiple
-  of the best target's is benched for a quarantine window. With a single
-  target this is idle machinery, but it is the exact API the shard router
-  will select replicas with.
+  multiplier, floored) an idle request is raced against a second copy
+  sent to the same URL, first response wins; launches and wins are
+  accounted separately.
 
 ``concurrency=0`` runs the replayer inline and single-threaded against an
 injected clock — deterministic open-loop semantics for tests (the
@@ -53,7 +50,6 @@ from repro.serving.store import CurveKey
 
 __all__ = [
     "HEDGE_HEADER",
-    "EwmaTracker",
     "HttpTransport",
     "ReplayConfig",
     "Replayer",
@@ -97,13 +93,6 @@ class ReplayConfig:
     hedge_delay_multiplier / hedge_min_delay_seconds / hedge_min_samples:
         Adaptive-delay policy: ``max(floor, multiplier * p95)`` once at
         least ``hedge_min_samples`` latencies have been observed.
-    ewma_alpha:
-        Per-target latency EWMA weight.
-    quarantine_threshold:
-        A target is quarantined when its EWMA exceeds this multiple of
-        the best healthy target's EWMA (needs >= 2 targets).
-    quarantine_seconds:
-        How long a quarantined target is skipped by target selection.
     """
 
     n_requests: int = 1000
@@ -122,9 +111,6 @@ class ReplayConfig:
     hedge_delay_multiplier: float = 3.0
     hedge_min_delay_seconds: float = 0.01
     hedge_min_samples: int = 50
-    ewma_alpha: float = 0.2
-    quarantine_threshold: float = 3.0
-    quarantine_seconds: float = 1.0
 
     def __post_init__(self) -> None:
         if self.n_requests < 1:
@@ -143,10 +129,6 @@ class ReplayConfig:
             raise ValueError("hedge_delay_seconds must be >= 0")
         if self.hedge_delay_multiplier <= 0:
             raise ValueError("hedge_delay_multiplier must be positive")
-        if self.ewma_alpha <= 0 or self.ewma_alpha > 1:
-            raise ValueError("ewma_alpha must lie in (0, 1]")
-        if self.quarantine_threshold <= 1:
-            raise ValueError("quarantine_threshold must be > 1")
 
 
 def hedge_outcome(
@@ -166,115 +148,6 @@ def hedge_outcome(
     if hedged_finish < primary_latency:
         return hedged_finish, True, True
     return primary_latency, True, False
-
-
-class EwmaTracker:
-    """Per-target EWMA latency with slow-target quarantine.
-
-    Thread-safe. With one target the quarantine machinery is inert (the
-    only target is always eligible); with several it is the replica
-    selector the shard router needs: observations feed the EWMA, a target
-    whose EWMA exceeds ``threshold`` × the best healthy EWMA is benched
-    for ``quarantine_seconds`` and excluded from :meth:`pick` until the
-    window lapses (unless *every* target is benched, in which case all are
-    eligible again — shedding everything helps nobody).
-    """
-
-    def __init__(
-        self,
-        targets: Sequence[str],
-        *,
-        alpha: float = 0.2,
-        threshold: float = 3.0,
-        quarantine_seconds: float = 1.0,
-        clock: Clock | None = None,
-    ) -> None:
-        if not targets:
-            raise ValueError("at least one target required")
-        self._targets = tuple(targets)
-        self._alpha = alpha
-        self._threshold = threshold
-        self._quarantine_seconds = quarantine_seconds
-        self._clock = clock or SystemClock()
-        self._lock = threading.Lock()
-        self._ewma: dict[str, float | None] = {t: None for t in self._targets}
-        self._count: dict[str, int] = {t: 0 for t in self._targets}
-        self._quarantined_until: dict[str, float] = {}
-        self._quarantines: dict[str, int] = {t: 0 for t in self._targets}
-
-    def observe(self, target: str, latency: float) -> None:
-        """Feed one latency sample and re-evaluate quarantine."""
-        now = self._clock.now()
-        with self._lock:
-            previous = self._ewma[target]
-            self._ewma[target] = (
-                latency
-                if previous is None
-                else self._alpha * latency + (1 - self._alpha) * previous
-            )
-            self._count[target] += 1
-            if len(self._targets) < 2:
-                return
-            healthy = [
-                v
-                for t, v in self._ewma.items()
-                if t != target
-                and v is not None
-                and self._quarantined_until.get(t, 0.0) <= now
-            ]
-            if not healthy:
-                return
-            if self._ewma[target] > self._threshold * min(healthy):
-                if self._quarantined_until.get(target, 0.0) <= now:
-                    self._quarantines[target] += 1
-                self._quarantined_until[target] = (
-                    now + self._quarantine_seconds
-                )
-
-    def ewma(self, target: str) -> float | None:
-        """Current EWMA latency for ``target`` (None before any sample)."""
-        with self._lock:
-            return self._ewma[target]
-
-    def quarantined(self, target: str) -> bool:
-        """Whether ``target`` is currently benched."""
-        with self._lock:
-            return self._quarantined_until.get(target, 0.0) > self._clock.now()
-
-    def eligible(self) -> list[str]:
-        """Targets selection may use right now (all, if all are benched)."""
-        now = self._clock.now()
-        with self._lock:
-            healthy = [
-                t
-                for t in self._targets
-                if self._quarantined_until.get(t, 0.0) <= now
-            ]
-            return healthy or list(self._targets)
-
-    def pick(self, index: int) -> str:
-        """Round-robin over eligible targets (stable under one target)."""
-        eligible = self.eligible()
-        return eligible[index % len(eligible)]
-
-    def pick_hedge(self, primary: str, index: int) -> str:
-        """A hedge target, preferring a different replica than ``primary``."""
-        others = [t for t in self.eligible() if t != primary]
-        if not others:
-            return primary
-        return others[index % len(others)]
-
-    def snapshot(self) -> dict:
-        """JSON-ready per-target state."""
-        with self._lock:
-            return {
-                target: {
-                    "ewma_seconds": self._ewma[target],
-                    "observations": self._count[target],
-                    "quarantines": self._quarantines[target],
-                }
-                for target in self._targets
-            }
 
 
 class _HeaderDict(dict):
@@ -534,11 +407,10 @@ class _Record:
     error: bool = False
     hedged: bool = False
     hedge_won: bool = False
-    target: str = ""
 
 
 class Replayer:
-    """Replay a seeded open-loop stream against HTTP targets.
+    """Replay a seeded open-loop stream against one HTTP base URL.
 
     ``transport`` defaults to :class:`HttpTransport`; tests inject a fake
     callable (same signature) plus a manual clock for determinism.
@@ -546,29 +418,20 @@ class Replayer:
 
     def __init__(
         self,
-        targets: Sequence[str],
+        target: str,
         keys: Sequence[CurveKey],
         config: ReplayConfig | None = None,
         *,
         transport: Transport | None = None,
         clock: Clock | None = None,
     ) -> None:
-        if not targets:
-            raise ValueError("at least one target required")
-        self._targets = [t.rstrip("/") for t in targets]
+        self._target = target.rstrip("/")
         self._keys = list(keys)
         self._cfg = config or ReplayConfig()
         self._clock = clock or SystemClock()
         self._own_transport = transport is None
         self._transport: Transport = transport or HttpTransport(
             self._cfg.timeout_seconds
-        )
-        self.tracker = EwmaTracker(
-            self._targets,
-            alpha=self._cfg.ewma_alpha,
-            threshold=self._cfg.quarantine_threshold,
-            quarantine_seconds=self._cfg.quarantine_seconds,
-            clock=self._clock,
         )
         self._delay_policy = _HedgeDelayPolicy(self._cfg)
         self._hedges_launched = 0
@@ -601,11 +464,9 @@ class Replayer:
 
     # -- request execution ----------------------------------------------------
 
-    def _call(
-        self, target: str, path: str, headers: dict
-    ) -> tuple[int, bytes]:
+    def _call(self, path: str, headers: dict) -> tuple[int, bytes]:
         return self._transport(
-            target, path, self._cfg.timeout_seconds, headers
+            self._target, path, self._cfg.timeout_seconds, headers
         )
 
     def _account_hedge(self, won: bool) -> None:
@@ -617,10 +478,9 @@ class Replayer:
     def _finish(self, record: _Record, t0: float) -> None:
         record.finished = self._clock.now() - t0
         record.latency = record.finished - record.started
-        self.tracker.observe(record.target, record.latency)
         self._delay_policy.observe(record.latency)
 
-    def _run_one_inline(self, index, request, record, t0) -> None:
+    def _run_one_inline(self, request, record, t0) -> None:
         """Deterministic single-threaded execution against the clock.
 
         The transport call advances the injected clock by its service
@@ -630,12 +490,10 @@ class Replayer:
         whose purpose is scheduling/accounting semantics, not wall time).
         """
         record.started = self._clock.now() - t0
-        target = self.tracker.pick(index)
-        record.target = target
         delay = self._delay_policy.current()
         begun = self._clock.now()
         try:
-            status, _body = self._call(target, request.url, {})
+            status, _body = self._call(request.url, {})
             primary_latency = self._clock.now() - begun
         except TimeoutError:
             record.timeout = True
@@ -646,11 +504,8 @@ class Replayer:
             self._finish(record, t0)
             return
         if delay is not None and primary_latency > delay:
-            hedge_target = self.tracker.pick_hedge(target, index)
             try:
-                hedge_status, _ = self._call(
-                    hedge_target, request.url, {HEDGE_HEADER: "1"}
-                )
+                hedge_status, _ = self._call(request.url, {HEDGE_HEADER: "1"})
                 hedge_latency = (
                     self._clock.now() - begun
                 ) - primary_latency
@@ -665,24 +520,19 @@ class Replayer:
             record.hedge_won = hedge_won
             if hedge_won:
                 status = hedge_status
-                record.target = hedge_target
             record.status = status
             record.finished = record.started + latency
             record.latency = latency
-            self.tracker.observe(record.target, latency)
             self._delay_policy.observe(latency)
             return
         record.status = status
         record.finished = record.started + primary_latency
         record.latency = primary_latency
-        self.tracker.observe(target, primary_latency)
         self._delay_policy.observe(primary_latency)
 
-    def _run_one_threaded(self, index, request, record, t0, io) -> None:
+    def _run_one_threaded(self, request, record, t0, io) -> None:
         cfg = self._cfg
         record.started = self._clock.now() - t0
-        target = self.tracker.pick(index)
-        record.target = target
         delay = self._delay_policy.current()
         if delay is None:
             # No hedge armed: call the transport on this worker thread
@@ -691,7 +541,7 @@ class Replayer:
             # count — for a future nobody races against. The transport's
             # socket timeout enforces the request budget.
             try:
-                status, _body = self._call(target, request.url, {})
+                status, _body = self._call(request.url, {})
             except TimeoutError:
                 record.timeout = True
             except OSError:
@@ -700,19 +550,14 @@ class Replayer:
                 record.status = status
             self._finish(record, t0)
             return
-        primary = io.submit(self._call, target, request.url, {})
-        futures = {primary: target}
-        if delay is not None:
-            done, _ = wait([primary], timeout=delay)
-            if not done:
-                hedge_target = self.tracker.pick_hedge(target, index)
-                hedge = io.submit(
-                    self._call, hedge_target, request.url, {HEDGE_HEADER: "1"}
-                )
-                futures[hedge] = hedge_target
-                record.hedged = True
+        primary = io.submit(self._call, request.url, {})
+        futures = [primary]
+        done, _ = wait([primary], timeout=delay)
+        if not done:
+            futures.append(io.submit(self._call, request.url, {HEDGE_HEADER: "1"}))
+            record.hedged = True
         deadline = record.started + cfg.timeout_seconds
-        pending = dict(futures)
+        pending = set(futures)
         while pending:
             remaining = deadline - (self._clock.now() - t0)
             if remaining <= 0:
@@ -723,13 +568,12 @@ class Replayer:
             if not done:
                 break
             for future in done:
-                future_target = pending.pop(future)
+                pending.discard(future)
                 try:
                     status, _body = future.result()
                 except (TimeoutError, OSError):
                     continue  # this copy failed; maybe the other answers
                 record.status = status
-                record.target = future_target
                 record.hedge_won = record.hedged and future is not primary
                 break
             if record.status is not None:
@@ -771,7 +615,7 @@ class Replayer:
                     if delay > 0:
                         self._clock.sleep(delay)
                     records[i].submitted = self._clock.now() - t0
-                    self._run_one_inline(i, request, records[i], t0)
+                    self._run_one_inline(request, records[i], t0)
             finally:
                 # Inline mode owns its transport too: without this close
                 # the idle keep-alive pool outlives the replay.
@@ -807,7 +651,6 @@ class Replayer:
                     futures.append(
                         workers.submit(
                             self._run_one_threaded,
-                            i,
                             request,
                             records[i],
                             t0,
@@ -864,35 +707,6 @@ class Replayer:
                 k: float("nan")
                 for k in ("p50", "p95", "p99", "p999", "mean", "max")
             }
-        # Per-target breakdown: the pooled histogram above hides a slow
-        # shard behind a fast one — one bucket per base URL keeps a
-        # multi-target run honest (counts, tails, timeouts, errors).
-        per_target: dict[str, dict] = {}
-        grouped: dict[str, list[_Record]] = {}
-        for record in measured:
-            grouped.setdefault(record.target or "unassigned", []).append(
-                record
-            )
-        for target in sorted(grouped):
-            bucket = grouped[target]
-            answered = [r.latency for r in bucket if r.status is not None]
-            answered_arr = np.asarray(answered)
-            per_target[target] = {
-                "measured": len(bucket),
-                "responded": len(answered),
-                "p50": (
-                    float(np.percentile(answered_arr, 50))
-                    if answered
-                    else float("nan")
-                ),
-                "p99": (
-                    float(np.percentile(answered_arr, 99))
-                    if answered
-                    else float("nan")
-                ),
-                "timeouts": sum(r.timeout for r in bucket),
-                "errors": sum(r.error for r in bucket),
-            }
         return {
             "n_requests": cfg.n_requests,
             "warmup_dropped": cfg.warmup_requests,
@@ -923,8 +737,6 @@ class Replayer:
                 "p50": float(np.percentile(queue_delays, 50)) if n else 0.0,
                 "max": float(queue_delays.max()) if n else 0.0,
             },
-            "targets": self.tracker.snapshot(),
-            "per_target": per_target,
             "transport": (
                 self._transport.stats()
                 if isinstance(self._transport, HttpTransport)

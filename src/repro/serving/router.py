@@ -60,6 +60,7 @@ from dataclasses import dataclass
 from repro.service.rest import encode_body, parse_route
 from repro.serving.httpcore import (
     HeadLoopProtocol,
+    bind_listener,
     body_response,
     canned_response,
     render_response,
@@ -242,7 +243,6 @@ class RouterConfig:
     backlog: int = 128
     drain_timeout_seconds: float = 10.0
     request_timeout_seconds: float = 30.0
-    reuse_port: bool = False
     #: Persistent keep-alive connections per shard.
     upstream_connections: int = 16
     #: Requests queued per shard when every connection is busy, before
@@ -731,18 +731,9 @@ class RouterServer:
         """Bind, listen, and route on a background event loop (idempotent)."""
         if self._listener is not None:
             return self
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        try:
-            listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            if self._cfg.reuse_port:
-                listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
-            listener.bind((self._cfg.host, self._cfg.port))
-            listener.listen(self._cfg.backlog)
-            listener.setblocking(False)
-        except BaseException:
-            listener.close()
-            raise
-        self._listener = listener
+        self._listener = bind_listener(
+            self._cfg.host, self._cfg.port, self._cfg.backlog
+        )
         self._draining = False
         self._loop = asyncio.new_event_loop()
         self._thread = threading.Thread(
@@ -1062,8 +1053,7 @@ class ForkedWorker:
 
     ``build(worker_id)`` runs *in the child* and must return a started
     server exposing ``url`` and ``stop() -> dict`` — the sharded
-    deployment passes its partition-restricted builder, the CLI's
-    replica fan-out passes a full-universe one. Nothing but the
+    deployment passes its partition-restricted builder. Nothing but the
     read-only universe is shared with the parent (copy-on-write); the
     child reports its bound URL over a pipe, drains on
     ``SIGTERM``/``SIGINT``, sends the drain statistics back as the final

@@ -8,6 +8,7 @@ import pytest
 
 from repro.cloud.api import EC2Api
 from repro.service.drafts_service import DraftsService
+from repro.service.partition import PartitionedApi
 from repro.service.rest import RestRouter, parse_route
 from repro.serving.clock import ManualClock
 from repro.serving.gateway import ServingGateway
@@ -72,3 +73,32 @@ def test_every_tier_resolves_the_same_route(tiers, template, kind, status):
     else:
         assert decision[0] == "notfound"
         assert served.body == {"error": f"no route for {decision[1]!r}"}
+
+
+#: ``/cheapest`` naming a region or an instance type the account does not
+#: know: (type, region, error) — a 404, as a ``/predictions`` read of it.
+UNKNOWN_SCANS = [
+    ("c3.2xlarge", "zz-none", "unknown region 'zz-none'"),
+    ("zz0.none", "us-west-1", "unknown instance type 'zz0.none'"),
+]
+
+
+@pytest.mark.parametrize(
+    "instance_type, region, error", UNKNOWN_SCANS, ids=[c[1] for c in UNKNOWN_SCANS]
+)
+def test_cheapest_of_unknown_names_is_404(
+    tiers, small_universe, instance_type, region, error
+):
+    rest, gateway, router, now = tiers
+    url = f"/cheapest/{instance_type}/{region}?probability=0.95&now={now}"
+    # A shard worker behind the router, which delegates an empty fan-out.
+    shard = ServingGateway(
+        DraftsService(PartitionedApi(EC2Api(small_universe), [(T, Z)])),
+        clock=ManualClock(),
+    )
+    assert router._route(url) == ("cheapest", instance_type, region)
+    for _ in range(4):
+        for tier in (rest, gateway, shard):
+            response = tier.get(url)
+            assert (response.status, response.body) == (404, {"error": error})
+

@@ -172,7 +172,7 @@ class TestPartitionedScanCache:
                 f"/cheapest/zz{i}.none/{region}?probability={p}&now={start_now}",
                 f"/cheapest/{t}/zz-none-{i}?probability={p}&now={start_now}",
             ):
-                assert gateway.get(url).status == 503
+                assert gateway.get(url).status == 404
         assert view._scan_cache == before
         assert view.zones_for_cheapest("zz0.none", region) == ()
         assert view.zones_for_cheapest(t, region) == (zones[0], zones[1])
@@ -349,6 +349,34 @@ class TestRoutedParity:
             assert body == encode_body(expected.body), url
             assert headers["Content-Type"] == "application/json"
             assert int(headers["Content-Length"]) == len(body)
+
+    def test_unenrolled_offered_combo_is_a_routed_404(self, env, deployment):
+        """The routed tier's one semantic divergence (DESIGN §2.3): a
+        combination the account offers but no shard enrolled is a 404
+        from its ring owner on every read, never a breaker trip, where
+        the single process fits it on first touch and answers 200."""
+        universe, _keys, start_now = env
+        dep, _single, combos = deployment
+        t, z = next(
+            tuple(c.key.split("@"))
+            for c in universe.combos()
+            if tuple(c.key.split("@")) not in combos
+        )
+        urls = [
+            f"/predictions/{t}/{z}?probability=0.95&now={start_now}",
+            f"/bid/{t}/{z}?probability=0.95&duration=3600.0&now={start_now}",
+        ]
+        want = encode_body({"error": f"shard does not own {t} in {z}"})
+        for url in urls * 4:
+            status, _, body = _get(dep.router.address, url)
+            assert (status, body) == (404, want), url
+        owner = dep.shard_urls[dep.partition.route(t, z)]
+        host, port = owner.removeprefix("http://").split(":")
+        metrics = json.loads(_get((host, int(port)), "/metrics")[2])
+        assert metrics["counters"]["gateway.breaker_trips"] == 0
+        direct = _warm_gateway(universe, [(t, z)], start_now)
+        for url in urls:
+            assert direct.get(url).status == 200, url
 
     def test_cheapest_crosses_shards(self, env, deployment):
         """The winning quote's combo and the fan-out set straddle the
@@ -605,36 +633,6 @@ class TestDrainAndReport:
         after, refitted = run()
         assert after == before
         assert refitted == {sid: 0 for sid in fitted}
-
-    def test_replay_report_breaks_out_targets(self):
-        from repro.serving.replay import ReplayConfig, Replayer, _Record
-
-        replayer = Replayer(
-            ["http://a:1", "http://b:2"],
-            [("m4.large", "us-east-1a", 0.95)],
-            ReplayConfig(n_requests=4, warmup_requests=0),
-        )
-        records = [
-            _Record(
-                index=i,
-                scheduled=float(i),
-                submitted=float(i),
-                started=float(i),
-                finished=i + 0.01,
-                latency=0.01 * (i + 1),
-                status=200 if i != 3 else None,
-                timeout=i == 3,
-                target="http://a:1" if i % 2 == 0 else "http://b:2",
-            )
-            for i in range(4)
-        ]
-        report = replayer._report(records)
-        assert set(report["per_target"]) == {"http://a:1", "http://b:2"}
-        a, b = report["per_target"]["http://a:1"], report["per_target"]["http://b:2"]
-        assert a["measured"] == 2 and a["responded"] == 2
-        assert b["measured"] == 2 and b["responded"] == 1
-        assert b["timeouts"] == 1 and a["timeouts"] == 0
-        assert a["p50"] == pytest.approx(0.02)
 
 
 class TestClientSockets:

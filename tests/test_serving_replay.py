@@ -1,6 +1,6 @@
 """Replayer tests: open-loop scheduling and hedge accounting against an
-injected clock and a fake transport, EWMA quarantine, and the end-to-end
-seeded-spike demonstration that hedging cuts p99.9."""
+injected clock and a fake transport, and the end-to-end seeded-spike
+demonstration that hedging cuts p99.9."""
 
 from __future__ import annotations
 
@@ -13,7 +13,6 @@ from repro.serving.chaos import FaultConfig, ReplaySpiker
 from repro.serving.clock import ManualClock
 from repro.serving.replay import (
     HEDGE_HEADER,
-    EwmaTracker,
     HttpTransport,
     ReplayConfig,
     Replayer,
@@ -46,7 +45,7 @@ class FakeTransport:
         pass
 
 
-def _replayer(plan, clock=None, targets=("http://a",), **overrides):
+def _replayer(plan, clock=None, **overrides):
     clock = clock or ManualClock()
     defaults = dict(
         n_requests=40, rate=100.0, warmup_requests=0, concurrency=0
@@ -54,7 +53,7 @@ def _replayer(plan, clock=None, targets=("http://a",), **overrides):
     defaults.update(overrides)
     transport = FakeTransport(clock, plan)
     replayer = Replayer(
-        list(targets),
+        "http://a",
         KEYS,
         ReplayConfig(**defaults),
         transport=transport,
@@ -315,7 +314,7 @@ class TestPoolConservation:
         """Failing before: inline mode (concurrency=0) never closed the
         transport it owned, so the keep-alive pool outlived the replay."""
         replayer = Replayer(
-            ["http://a"],
+            "http://a",
             KEYS,
             ReplayConfig(
                 n_requests=8, rate=10000.0, warmup_requests=0, concurrency=0
@@ -338,7 +337,7 @@ class TestPoolConservation:
         no half-read leak, nothing left open after the replay."""
         fake_connections.reset(primary=0.03, hedge=0.001)
         replayer = Replayer(
-            ["http://a"],
+            "http://a",
             KEYS,
             ReplayConfig(
                 n_requests=12,
@@ -358,45 +357,6 @@ class TestPoolConservation:
         assert stats["created"] == stats["discarded"]
         _assert_conserved(stats)
         assert all(c.closed for c in fake_connections.instances)
-
-
-class TestEwmaTracker:
-    def test_slow_target_is_quarantined_and_recovers(self):
-        clock = ManualClock()
-        tracker = EwmaTracker(
-            ["a", "b"],
-            alpha=0.5,
-            threshold=3.0,
-            quarantine_seconds=1.0,
-            clock=clock,
-        )
-        for _ in range(5):
-            tracker.observe("a", 0.01)
-        tracker.observe("b", 0.1)
-        assert tracker.quarantined("b")
-        assert tracker.eligible() == ["a"]
-        assert tracker.pick(0) == "a"
-        assert tracker.pick(1) == "a"
-        clock.advance(1.5)
-        assert not tracker.quarantined("b")
-        assert tracker.eligible() == ["a", "b"]
-        snapshot = tracker.snapshot()
-        assert snapshot["b"]["quarantines"] == 1
-        assert snapshot["a"]["ewma_seconds"] == pytest.approx(0.01)
-
-    def test_hedge_prefers_a_different_target(self):
-        tracker = EwmaTracker(["a", "b"], clock=ManualClock())
-        assert tracker.pick_hedge("a", 0) == "b"
-        assert tracker.pick_hedge("b", 0) == "a"
-        single = EwmaTracker(["a"], clock=ManualClock())
-        assert single.pick_hedge("a", 0) == "a"
-
-    def test_single_target_never_quarantines(self):
-        tracker = EwmaTracker(["a"], clock=ManualClock())
-        for latency in (0.001, 5.0, 10.0):
-            tracker.observe("a", latency)
-        assert not tracker.quarantined("a")
-        assert tracker.eligible() == ["a"]
 
 
 class TestReplaySpiker:

@@ -588,3 +588,24 @@ class TestTickerMechanics:
         assert math.isnan(ticker.bid_for("k", 3600.0))
         assert ticker.curve_for("k") is None
         assert len(ticker) == 1 and "k" in ticker
+
+    def test_adopted_key_refreshes_without_reallocating_history(self):
+        """An adopted (live) key reserves history headroom, so the first
+        refresh after adoption writes in place. Failing before: the
+        history was sized to exactly the fitted length, and that refresh
+        reallocated every slot's times, prices and bounds."""
+        trace = generate_trace("calm", 0.42, n_epochs=8 * EPD, rng=4)
+        n = len(trace) - 3  # past the 1 024-column floor
+        pred = OnlineDraftsPredictor(CONFIG)
+        pred.extend(trace.times[:n], trace.prices[:n])
+        ticker = UniverseTicker(CONFIG)
+        ticker.add_key("k", online=pred)
+        cap = ticker._hist_cap
+        arrays = (ticker._times, ticker._prices, ticker._bounds)
+        ticker.observe(trace.times[n:], trace.prices[None, n:], keys=["k"])
+        assert ticker.n("k") == len(trace)
+        assert ticker._hist_cap == cap
+        assert all(
+            a is b
+            for a, b in zip(arrays, (ticker._times, ticker._prices, ticker._bounds))
+        )
