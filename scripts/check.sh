@@ -36,7 +36,8 @@ step "tier-1 tests" env PYTHONPATH=src python -m pytest -x -q "$@"
 # plumbing surface here instead of in a long benchmark session. Skippable
 # for quick local iterations with CHECK_SKIP_BENCH=1 — except the serving
 # bench, whose acceptance checks (refresh equivalence, coalescing,
-# accounting) are fast enough to always run.
+# accounting) are fast enough to always run, and the universe-fit bench,
+# the gating body of the fit smoke below. Each branch runs each file once.
 if [ "${CHECK_SKIP_BENCH:-0}" != "1" ]; then
     step "benchmark smoke (--benchmark-disable)" \
         env PYTHONPATH=src python -m pytest benchmarks/ -q --benchmark-disable
@@ -44,6 +45,9 @@ else
     step "serving bench smoke (--benchmark-disable)" \
         env PYTHONPATH=src python -m pytest benchmarks/bench_serving.py -q \
         --benchmark-disable
+    step "universe fit bench smoke (--benchmark-disable)" \
+        env PYTHONPATH=src python -m pytest benchmarks/bench_universe_fit.py \
+        -q --benchmark-disable
 fi
 
 # Universe-tick smoke: advance a 32-key universe through the vectorised
@@ -56,12 +60,10 @@ step "universe tick smoke (batch vs scalar bit-identity)" \
 # Universe-fit smoke: batch-fit a 32-key universe (ragged history lengths)
 # through the structure-of-arrays phase-1 fitter and require bit-identical
 # bound series, change points, ladders and bids against per-key scalar
-# fits (~3 s); then smoke-run the gating benchmark body once untimed.
+# fits (~3 s). Its gating benchmark body runs once, in the benchmark
+# smoke above.
 step "universe fit smoke (batch vs scalar bit-identity)" \
     env PYTHONPATH=src python -m repro fit-smoke --keys 32
-step "universe fit bench smoke (--benchmark-disable)" \
-    env PYTHONPATH=src python -m pytest benchmarks/bench_universe_fit.py -q \
-    --benchmark-disable
 
 # Seeded chaos smoke: faulty history API at 10% error rate plus a mid-run
 # snapshot/restore round-trip with one deliberately torn file. Exits

@@ -290,10 +290,15 @@ class UniverseTicker:
             out[:old] = arr
             return out
 
+        # History rows are read only up to each slot's n, as _grow_history
+        # assumes: copy the filled prefix and leave the rest (the adoption
+        # headroom included) unwritten, so it stays non-resident.
+        filled = int(self._n.max(initial=0))
+        for name in ("_times", "_prices", "_bounds"):
+            grown = np.empty((n_slots, self._hist_cap))
+            grown[:old, :filled] = getattr(self, name)[:, :filled]
+            setattr(self, name, grown)
         self._n = grow2(self._n, 0)
-        self._times = grow2(self._times, 0.0)
-        self._prices = grow2(self._prices, 0.0)
-        self._bounds = grow2(self._bounds, np.nan)
         self._blo = grow2(self._blo, np.inf)
         self._bhi = grow2(self._bhi, -np.inf)
         self._plo = grow2(self._plo, np.inf)

@@ -10,10 +10,12 @@ paper is explicit that each recompute is *incremental*: predictor state is
 updated "in a few milliseconds" per new price announcement (§3.3), not
 refitted from scratch.
 
-This module is that service against the simulated EC2: a curve cache with
-the same refresh policy, exposed through the in-process REST router in
+This module is that service against the simulated EC2: one curve cache
+with the same refresh policy (``DraftsService.store``, a
+:class:`~repro.service.store.ShardedCurveStore` the serving gateway reads
+too), exposed through the in-process REST router in
 :mod:`repro.service.rest`. A key is refreshed when it is read and its
-cached curve is older than ``refresh_seconds`` (the 15-minute period);
+stored curve is older than ``refresh_seconds`` (the 15-minute period);
 nothing sweeps the keys on a timer. All predictor state lives in one
 structure-of-arrays :class:`~repro.core.universe.UniverseTicker` per
 published probability level; each (type, AZ, probability) key is one slot
@@ -45,8 +47,8 @@ accumulated history (tests/test_service.py).
 
 Locking: each ticker has one lock, and every read or write of a key's
 slot or its ``_KeyState`` happens under its level's lock. That lock is always
-taken before the service's bookkeeping lock, no thread holds two ticker
-locks at once, and no file I/O happens under one.
+taken before the service's bookkeeping lock and the store's shard locks, no
+thread holds two ticker locks at once, and no file I/O happens under one.
 """
 
 from __future__ import annotations
@@ -65,6 +67,7 @@ from repro.core.universe import UniverseTicker
 from repro.core.universe_fit import fit_drafts_universe
 from repro.service import persistence
 from repro.service.persistence import MANIFEST_NAME, SnapshotError
+from repro.service.store import EntryState, ShardedCurveStore
 
 __all__ = ["DraftsService", "ServiceConfig"]
 
@@ -114,12 +117,6 @@ class ServiceConfig:
 
 
 @dataclass
-class _CacheEntry:
-    computed_at: float
-    curve: BidDurationCurve | None
-
-
-@dataclass
 class _Group:
     """One probability level's predictor state: a slot per key in
     ``ticker``, read and mutated only under ``lock``."""
@@ -151,19 +148,23 @@ class DraftsService:
     — including its 90-day history limit and (if configured) its AZ-name
     obfuscation, which is why production deployments need the
     deobfuscation of :mod:`repro.market.obfuscation`.
+
+    Published curves live in :attr:`store`, the one curve cache, which
+    every recompute, :meth:`warm_start` and :meth:`load_state` write and
+    a :class:`~repro.serving.gateway.ServingGateway` reads too.
     """
 
     def __init__(self, api: EC2Api, config: ServiceConfig | None = None):
         self._api = api
         self._cfg = config or ServiceConfig()
-        self._cache: dict[tuple[str, str, float], _CacheEntry] = {}
+        self.store = ShardedCurveStore(refresh_seconds=self._cfg.refresh_seconds)
         # Keys holding predictor state, in LRU order. Every key listed here
         # owns its ticker slot; a slot whose key is not listed was evicted
         # and is about to be dropped.
         self._states: OrderedDict[tuple[str, str, float], _KeyState] = (
             OrderedDict()
         )
-        # Guards cache/state bookkeeping: the serving gateway drives this
+        # Guards state bookkeeping: the serving gateway drives this
         # object from several threads.
         self._lock = threading.Lock()
         self._groups = {
@@ -338,6 +339,7 @@ class DraftsService:
                 state = _KeyState()
             plan = self._plan(group.ticker, key, state, now)
             curve = self._refresh(group.ticker, key, state, now, *plan)
+            self.store.put(key, curve, now)
             if fresh:
                 # Admitted only once its first fit lands: an unknown
                 # combination (or a failed cold fetch) takes no LRU slot.
@@ -352,45 +354,22 @@ class DraftsService:
     ) -> BidDurationCurve | None:
         """The published curve for a combination at time ``now``.
 
-        Recomputed lazily when the cached copy is older than the refresh
-        interval, exactly like the prototype's 15-minute cron. ``None``
-        means the history is still too short to guarantee anything.
+        Served from :attr:`store` while fresh; recomputed (and stored at
+        ``now``) once the stored curve is older than the refresh interval,
+        exactly like the prototype's 15-minute cron. ``None`` means the
+        history is still too short to guarantee anything.
         """
-        if probability not in self._cfg.probabilities:
-            raise ValueError(
-                f"service does not publish probability {probability}; "
-                f"levels: {self._cfg.probabilities}"
-            )
+        self.check_probability(probability)
         key = (instance_type, zone, probability)
-        with self._lock:
-            entry = self._cache.get(key)
-            stale = entry is not None and (
-                now - entry.computed_at >= self._cfg.refresh_seconds
-                or now < entry.computed_at  # backtests may query past instants
-            )
-            if entry is not None and not stale:
+        # peek, not lookup: popularity counts the gateway's reads only.
+        entry = self.store.peek(key)
+        if self.store.state_of(entry, now) is EntryState.FRESH:
+            with self._lock:
                 self._hits += 1
-                return entry.curve
+            return entry.curve
+        with self._lock:
             self._misses += 1
-        curve = self._compute_curve(instance_type, zone, probability, now)
-        entry = _CacheEntry(computed_at=now, curve=curve)
-        with self._lock:
-            self._cache[key] = entry
-        return entry.curve
-
-    def invalidate(
-        self, instance_type: str, zone: str, probability: float
-    ) -> bool:
-        """Drop one key's cached curve, forcing a refresh on next touch.
-
-        The long-lived predictor state is kept, so the forced recompute is
-        still an incremental delta fetch. Returns whether a cached curve
-        was dropped. Ops tooling and the chaos harness use this to force
-        recompute traffic.
-        """
-        with self._lock:
-            entry = self._cache.pop((instance_type, zone, probability), None)
-        return entry is not None
+        return self._compute_curve(instance_type, zone, probability, now)
 
     # -- batch cold boot ----------------------------------------------------
 
@@ -405,8 +384,8 @@ class DraftsService:
         pass (:func:`repro.core.universe_fit.fit_drafts_universe`) across
         every published probability level, hands each key's fitted
         predictor to its level's ticker — state bit-identical to the
-        single-key cold fit — and publishes all curves into the cache at
-        ``now``, one batched ticker query per level. Each fit counts under
+        single-key cold fit — and publishes all curves into :attr:`store`
+        at ``now``, one batched ticker query per level. Each fit counts under
         ``cold_fits`` with reason ``"cold"``, exactly like the first touch
         it replaces. Keys already holding predictor state are skipped.
         Returns ``{"fitted", "skipped"}``.
@@ -455,6 +434,8 @@ class DraftsService:
                     self._install(group.ticker, key, fit.online_predictor(i))
                     installed.append((i, key, history))
                 curves = group.ticker.curves([key for _, key, _ in installed])
+                for _, key, _ in installed:
+                    self.store.put(key, curves[key], now)
                 with self._lock:
                     for i, key, history in installed:
                         self._states[key] = _KeyState(
@@ -462,9 +443,6 @@ class DraftsService:
                             cursor=history.end,
                             last_now=now,
                             max_price=configs[i].max_price,
-                        )
-                        self._cache[key] = _CacheEntry(
-                            computed_at=now, curve=curves[key]
                         )
                     self._cold_fits += len(installed)
                     self._refit_reasons["cold"] = (
@@ -476,20 +454,6 @@ class DraftsService:
         return {"fitted": fitted, "skipped": skipped}
 
     # -- crash-safe persistence ---------------------------------------------
-
-    def cached_curves(
-        self,
-    ) -> list[tuple[tuple[str, str, float], BidDurationCurve | None, float]]:
-        """The curve cache as ``(key, curve, computed_at)`` triples.
-
-        Lets a restarted gateway prime its store from a freshly loaded
-        checkpoint without recomputing anything.
-        """
-        with self._lock:
-            return [
-                (key, entry.curve, entry.computed_at)
-                for key, entry in self._cache.items()
-            ]
 
     def save_state(self, directory: str | Path) -> dict:
         """Checkpoint every key's predictor state to ``directory``.
@@ -505,7 +469,6 @@ class DraftsService:
         path.mkdir(parents=True, exist_ok=True)
         with self._lock:
             keys = list(self._states)
-            cache = dict(self._cache)
         saved = 0
         skipped = 0
         files = []
@@ -527,7 +490,7 @@ class DraftsService:
                     ),
                     "predictor": group.ticker.key_snapshot(key),
                 }
-            entry = cache.get(key)
+            entry = self.store.peek(key)
             if entry is not None:
                 payload["computed_at"] = float(entry.computed_at)
             name = persistence.key_filename(key)
@@ -542,7 +505,9 @@ class DraftsService:
     def load_state(self, directory: str | Path) -> dict:
         """Restore predictor state checkpointed by :meth:`save_state`.
 
-        Each restored predictor becomes its key's ticker slot. Degrades,
+        Each restored predictor becomes its key's ticker slot, and its
+        published curve a :attr:`store` entry at the checkpointed
+        ``computed_at``, so staleness carries over the restart. Degrades,
         never crashes: a missing or unreadable manifest loads nothing, and
         any per-key file that is corrupt, torn, version-skewed or otherwise
         unusable is skipped — that key simply cold-refits on its next
@@ -600,15 +565,14 @@ class DraftsService:
             group = self._groups[key[2]]
             with group.lock:
                 self._install(group.ticker, key, online)
+                if "computed_at" in payload:
+                    self.store.put(
+                        key, state.curve, float(payload["computed_at"])
+                    )
                 with self._lock:
                     self._states[key] = state
                     self._states.move_to_end(key)
                     evicted += self._evict_locked()
-                    if "computed_at" in payload:
-                        self._cache[key] = _CacheEntry(
-                            computed_at=float(payload["computed_at"]),
-                            curve=state.curve,
-                        )
             loaded += 1
         self._drop_slots(evicted)
         return {"loaded": loaded, "skipped": len(errors), "errors": errors}
@@ -630,7 +594,7 @@ class DraftsService:
         """
         with self._lock:
             return {
-                "entries": len(self._cache),
+                "entries": len(self.store),
                 "predictors": len(self._states),
                 "max_predictors": self._cfg.max_predictors,
                 "hits": self._hits,
@@ -688,6 +652,17 @@ class DraftsService:
             return float("nan")
         return curve.bid_for_duration(duration_seconds)
 
+    def check_probability(self, probability: float) -> None:
+        """Raise ``ValueError`` unless the service publishes ``probability``:
+        every curve read checks this first, so an unpublished level is a
+        400 on every route and tier, whatever names the URL carries."""
+        levels = self._cfg.probabilities
+        if probability not in levels:
+            raise ValueError(
+                f"service does not publish probability {probability}; "
+                f"levels: {levels}"
+            )
+
     def check_scan_names(self, instance_type: str, region: str) -> None:
         """Raise ``KeyError`` unless the account knows ``region`` and
         ``instance_type``.
@@ -716,10 +691,12 @@ class DraftsService:
     ) -> tuple[str, float]:
         """AZ with the lowest minimum bid and that bid (§4.2's fitness rule).
 
-        Raises ``KeyError`` for a region or type the account does not know
-        (:meth:`check_scan_names`) and ``RuntimeError`` when no AZ has
-        enough history yet.
+        Raises ``ValueError`` for an unpublished level
+        (:meth:`check_probability`), ``KeyError`` for a region or type the
+        account does not know (:meth:`check_scan_names`) and
+        ``RuntimeError`` when no AZ has enough history yet.
         """
+        self.check_probability(probability)
         self.check_scan_names(instance_type, region)
         best_zone, best_bid = "", math.inf
         for zone in self._api.describe_availability_zones(region):

@@ -4,9 +4,11 @@ The paper's prototype is an asynchronous read-optimised service: a cron
 recomputes every bid–duration curve every 15 minutes and client GETs are
 pure cache reads. This package keeps the cache reads and the 15-minute
 period, but a curve is recomputed when a read finds it stale (served
-stale meanwhile), not on a timer:
+stale meanwhile), not on a timer. The curves live in one cache, the
+service's sharded, versioned store (``DraftsService.store``, defined in
+:mod:`repro.service.store` and re-exported here); this package reads it
+and schedules its recomputes:
 
-* :mod:`repro.serving.store` — sharded, versioned, thread-safe curve store;
 * :mod:`repro.serving.refresher` — background recompute scheduler fed by
   stale reads, with single-flight request coalescing;
 * :mod:`repro.serving.gateway` — the front door: admission control, load
@@ -32,6 +34,12 @@ stale meanwhile), not on a timer:
   Zipf arrivals, hedged requests, tail SLO reporting.
 """
 
+from repro.service.store import (
+    CurveEntry,
+    CurveKey,
+    EntryState,
+    ShardedCurveStore,
+)
 from repro.serving.aiohttpd import AsyncGatewayHTTPServer
 from repro.serving.chaos import (
     ChaosConfig,
@@ -53,12 +61,6 @@ from repro.serving.loadgen import (
 from repro.serving.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.serving.refresher import BackgroundRefresher, SingleFlight
 from repro.serving.replay import ReplayConfig, Replayer, format_slo_report
-from repro.serving.store import (
-    CurveEntry,
-    CurveKey,
-    EntryState,
-    ShardedCurveStore,
-)
 
 __all__ = [
     "AsyncGatewayHTTPServer",

@@ -42,6 +42,7 @@ from pathlib import Path
 from repro.cloud.api import EC2Api
 from repro.experiments.common import scaled_universe
 from repro.service.drafts_service import DraftsService, ServiceConfig
+from repro.service.store import EntryState
 from repro.serving.clock import Clock, ManualClock, SystemClock
 from repro.serving.gateway import GatewayConfig, ServingGateway
 from repro.serving.loadgen import (
@@ -49,7 +50,6 @@ from repro.serving.loadgen import (
     LoadgenConfig,
     predictable_keys,
 )
-from repro.serving.store import EntryState
 from repro.util.rng import RngFactory
 
 __all__ = [
@@ -431,13 +431,9 @@ def run_chaos(config: ChaosConfig | None = None) -> dict:
             ):
                 # Simulated expiry/eviction: every key goes back to a cold
                 # miss, so recompute (and therefore the fault schedule and
-                # the breaker) stays exercised for the whole stream. The
-                # service-level curve cache is dropped too — otherwise the
-                # recompute would be a cache read that never touches the
-                # faulty API.
+                # the breaker) stays exercised for the whole stream.
                 for key in keys:
                     gateway.store.invalidate(key)
-                    gateway.service.invalidate(*key)
             entry = gateway.store.peek(request.key)
             pre_state = gateway.store.state_of(entry, request.now)
             response = gateway.get(request.url)
@@ -502,11 +498,7 @@ def _restart(
     gateway: ServingGateway, build_gateway, snapshot_dir: str, cfg: ChaosConfig
 ) -> dict:
     """Checkpoint, damage one file, restore into a fresh gateway."""
-    before = {
-        key: curve.to_dict()
-        for key, curve, _ in gateway.service.cached_curves()
-        if curve is not None
-    }
+    before = _stored_curves(gateway)
     save_info = gateway.save_state(snapshot_dir)
     torn_file = None
     snaps = sorted(
@@ -519,11 +511,7 @@ def _restart(
         )
     restored = build_gateway()
     load_info = restored.load_state(snapshot_dir)
-    after = {
-        key: curve.to_dict()
-        for key, curve, _ in restored.service.cached_curves()
-        if curve is not None
-    }
+    after = _stored_curves(restored)
     intact = [k for k in before if torn_file is None or k != _torn_key(torn_file)]
     curves_identical = all(after.get(k) == before[k] for k in intact)
     expected_skips = 1 if torn_file is not None else 0
@@ -535,6 +523,16 @@ def _restart(
         "torn_file": torn_file,
         "curves_identical": curves_identical,
         "ok": curves_identical and load_info["skipped"] == expected_skips,
+    }
+
+
+def _stored_curves(gateway: ServingGateway) -> dict:
+    """Every stored curve of ``gateway``, as ``{key: curve dict}``."""
+    entries = (gateway.store.peek(key) for key in gateway.store.keys())
+    return {
+        entry.key: entry.curve.to_dict()
+        for entry in entries
+        if entry.curve is not None
     }
 
 

@@ -2,10 +2,11 @@
 
 This is the production front door the prototype implies (§3.3): clients GET
 curves, point bids, AZ recommendations and a metrics snapshot; every read
-is a cache read against the sharded store. The request path never performs
-QBETS work except on a *cold miss* (a key never computed before), and even
-then K concurrent misses coalesce into one recompute via the refresher's
-single-flight group.
+is a cache read against the service's sharded store
+(``DraftsService.store``, the one curve cache). The request path never
+performs QBETS work except on a *cold miss* (a key never computed before),
+and even then K concurrent misses coalesce into one recompute via the
+refresher's single-flight group.
 
 Request lifecycle::
 
@@ -46,10 +47,10 @@ from repro.cloud.api import EC2Api
 from repro.service.drafts_service import DraftsService, ServiceConfig
 from repro.service.persistence import MANIFEST_NAME
 from repro.service.rest import Response, Route, parse_floats, parse_route
+from repro.service.store import CurveKey, EntryState
 from repro.serving.clock import Clock, SystemClock
 from repro.serving.metrics import MetricsRegistry
 from repro.serving.refresher import BackgroundRefresher, SingleFlight
-from repro.serving.store import CurveKey, EntryState, ShardedCurveStore
 
 __all__ = ["GatewayConfig", "ServingGateway", "warm_gateway"]
 
@@ -207,9 +208,10 @@ class ServingGateway:
     ``GET /health``
     ``GET /metrics``
 
-    Curves come from ``service`` (so fresh answers are bit-identical to the
-    lazy :class:`DraftsService`), but are stored, versioned and refreshed
-    by the serving layer.
+    Curves come from ``service`` and are read from its store
+    (``self.store is service.store``), so fresh answers are bit-identical
+    to the lazy :class:`DraftsService`; the serving layer adds admission,
+    coalescing and stale-while-revalidate refresh around that one cache.
     """
 
     def __init__(
@@ -217,7 +219,6 @@ class ServingGateway:
         service: DraftsService,
         config: GatewayConfig | None = None,
         *,
-        store: ShardedCurveStore | None = None,
         metrics: MetricsRegistry | None = None,
         clock: Clock | None = None,
         identity: dict | None = None,
@@ -231,9 +232,7 @@ class ServingGateway:
         self.identity = dict(identity) if identity else None
         self._clock = clock or SystemClock()
         self.metrics = metrics or MetricsRegistry()
-        self.store = store or ShardedCurveStore(
-            refresh_seconds=service.config.refresh_seconds
-        )
+        self.store = service.store
         self._breaker = _CircuitBreaker(
             self._cfg.breaker_threshold,
             self._cfg.breaker_cooldown_seconds,
@@ -299,8 +298,8 @@ class ServingGateway:
         """Start the background refresh workers.
 
         When a ``snapshot_dir`` is configured and holds a checkpoint, the
-        predictor state is restored and the store primed from it first,
-        so the gateway comes up serving from where the previous process
+        service restores it first (predictor state and stored curves), so
+        the gateway comes up serving from where the previous process
         stopped instead of cold-refitting the whole universe.
         """
         if _has_checkpoint(self._cfg):
@@ -359,24 +358,17 @@ class ServingGateway:
         return info
 
     def load_state(self, directory: str | None = None) -> dict:
-        """Restore a checkpoint and prime the curve store from it.
+        """Restore a checkpoint (see :meth:`DraftsService.load_state`).
 
-        Restored published curves become immediately servable entries (at
-        their original ``computed_at``, so staleness semantics carry over
-        the restart); damaged per-key files are skipped and those keys
+        Restored published curves are servable entries of the shared
+        store at their original ``computed_at``, so staleness carries over
+        the restart; damaged per-key files are skipped and those keys
         refit on first touch.
         """
         directory = directory or self._cfg.snapshot_dir
         if directory is None:
             raise ValueError("no snapshot directory given or configured")
-        info = self._service.load_state(directory)
-        primed = 0
-        for key, curve, computed_at in self._service.cached_curves():
-            if curve is not None and self.store.peek(key) is None:
-                self.store.put(key, curve, computed_at)
-                primed += 1
-        info["primed"] = primed
-        return info
+        return self._service.load_state(directory)
 
     # -- request path --------------------------------------------------------
 
@@ -400,13 +392,14 @@ class ServingGateway:
 
         Every route is an in-memory read except a curve read that would
         fit a cold key inline: a ``predictions``/``bid`` key, or any zone
-        a ``cheapest`` scan visits, with no store entry yet. A stored
-        entry, fresh or stale, is served without blocking (a stale one
-        only enqueues its refresh). An event-loop front end uses this
-        probe to dispatch warm reads on the loop itself and push
-        potentially blocking requests to its executor. The probe is
-        side-effect free: it reads through
-        :meth:`~repro.serving.store.ShardedCurveStore.peek`, so it never
+        a ``cheapest`` scan visits, with no store entry yet and a URL the
+        handler's checks accept (a rejected one is a 400 or 404 from
+        memory). A stored entry, fresh or stale, is served without
+        blocking (a stale one only enqueues its refresh). An event-loop
+        front end uses this probe to dispatch warm reads on the loop
+        itself and push potentially blocking requests to its executor. The
+        probe is side-effect free: it reads through
+        :meth:`~repro.service.store.ShardedCurveStore.peek`, so it never
         perturbs the store's popularity accounting, and a conservative
         ``False`` is always safe (the request merely takes the slower,
         offloaded path).
@@ -432,14 +425,27 @@ class ServingGateway:
             for zone in self._scan_zones(route.instance_type, route.location):
                 key = (route.instance_type, zone, route.probability)
                 if self.store.peek(key) is None:
-                    return False, None
+                    return self._rejects(route), None
             return True, None
         entry = self.store.peek(
             (route.instance_type, route.location, route.probability)
         )
         if entry is None:
-            return False, None
+            return self._rejects(route), None
         return True, entry.curve
+
+    def _rejects(self, route: Route) -> bool:
+        """Whether the checks a handler runs before any fit reject
+        ``route`` (its 400 or 404 is then answered from memory)."""
+        try:
+            self._service.check_probability(route.probability)
+            if route.kind == "cheapest":
+                self._service.check_scan_names(
+                    route.instance_type, route.location
+                )
+        except (KeyError, ValueError):
+            return True
+        return False
 
     def _admitted(self, route: Route) -> Response:
         self.metrics.counter("gateway.requests").inc()
@@ -524,18 +530,10 @@ class ServingGateway:
     # -- curve acquisition -----------------------------------------------------
 
     def _compute(self, key: CurveKey, now: float):
-        """Recompute one key through the underlying service (its lazy cache
-        keeps service and gateway answers identical for a given instant)."""
+        """Recompute one key through the underlying service, which writes
+        the result into the store both read."""
         instance_type, zone, probability = key
         return self._service.curve(instance_type, zone, probability, now)
-
-    def _check_probability(self, probability: float) -> None:
-        levels = self._service.config.probabilities
-        if probability not in levels:
-            raise ValueError(
-                f"service does not publish probability {probability}; "
-                f"levels: {levels}"
-            )
 
     def _serve_curve(self, key: CurveKey, now: float, request: _RequestState):
         """Store-first read implementing stale-while-revalidate."""
@@ -557,14 +555,14 @@ class ServingGateway:
             and self._clock.now() - request.started >= request.deadline
         ):
             raise _DeadlineExceeded()
-        entry, _ = self.refresher.refresh(key, now)
-        return entry.curve
+        curve, _ = self.refresher.refresh(key, now)
+        return curve
 
     # -- handlers ----------------------------------------------------------------
 
     def _predictions(self, route: Route, request: _RequestState) -> Response:
         probability = route.probability
-        self._check_probability(probability)
+        self._service.check_probability(probability)
         try:
             curve = self._serve_curve(
                 (route.instance_type, route.location, probability),
@@ -590,7 +588,7 @@ class ServingGateway:
     def _bid(self, route: Route, request: _RequestState) -> Response:
         instance_type, zone = route.instance_type, route.location
         probability, duration = route.probability, route.duration
-        self._check_probability(probability)
+        self._service.check_probability(probability)
         try:
             curve = self._serve_curve(
                 (instance_type, zone, probability), route.now, request
@@ -661,7 +659,7 @@ class ServingGateway:
     def _cheapest(self, route: Route, request: _RequestState) -> Response:
         instance_type, region = route.instance_type, route.location
         probability, now = route.probability, route.now
-        self._check_probability(probability)
+        self._service.check_probability(probability)
         self._service.check_scan_names(instance_type, region)
         best_zone, best_bid = "", math.inf
         for zone in self._scan_zones(instance_type, region):
@@ -720,12 +718,12 @@ def warm_gateway(
 
     This is the one place that chooses between restore and fit. When
     ``config.snapshot_dir`` holds a checkpoint, nothing is fitted here:
-    :meth:`ServingGateway.start` restores it and primes the store, and a
-    key whose file is damaged fits on first touch. Otherwise every
-    ``(instance_type, zone)`` in ``combos`` is batch-fitted at ``now``
-    (:meth:`~repro.service.drafts_service.DraftsService.warm_start`) and
-    the store is primed with one ``/predictions`` read per key, so a
-    replay or a socket client measures serving, not first-touch fitting.
+    :meth:`ServingGateway.start` restores it, and a key whose file is
+    damaged fits on first touch. Otherwise every ``(instance_type, zone)``
+    in ``combos`` is batch-fitted at ``now``
+    (:meth:`~repro.service.drafts_service.DraftsService.warm_start`), which
+    stores every key's curve, so a replay or a socket client measures
+    serving, not first-touch fitting. No request is issued here.
     """
     service = DraftsService(
         api if api is not None else EC2Api(universe),
@@ -734,13 +732,6 @@ def warm_gateway(
     gateway = ServingGateway(
         service, config or GatewayConfig(max_inflight=256), identity=identity
     )
-    if _has_checkpoint(gateway.config):
-        return gateway
-    service.warm_start(list(combos), now)
-    for instance_type, zone in combos:
-        for probability in probabilities:
-            gateway.get(
-                f"/predictions/{instance_type}/{zone}"
-                f"?probability={probability}&now={now}"
-            )
+    if not _has_checkpoint(gateway.config):
+        service.warm_start(list(combos), now)
     return gateway

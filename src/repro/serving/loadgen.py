@@ -27,7 +27,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from repro.serving.store import CurveKey
+from repro.service.store import CurveKey
 
 __all__ = [
     "DiurnalEnvelope",

@@ -18,6 +18,10 @@ the key is refreshed off the request path. Two cooperating pieces do it:
     synchronously via :meth:`BackgroundRefresher.run_pending` for
     deterministic tests.
 
+The refresher only reads the store, to rank pending keys; its
+``compute`` callback writes it (the gateway's is
+:meth:`DraftsService.curve`, which stores every recompute).
+
 A combination the account does not offer (or, on a shard worker, one the
 shard does not own) raises ``KeyError`` from the recompute. That is the
 caller's 404, not a failing recompute: it reaches neither
@@ -30,8 +34,8 @@ import threading
 from typing import Callable
 
 from repro.core.curves import BidDurationCurve
+from repro.service.store import CurveKey, ShardedCurveStore
 from repro.serving.metrics import MetricsRegistry
-from repro.serving.store import CurveEntry, CurveKey, ShardedCurveStore
 
 __all__ = ["BackgroundRefresher", "SingleFlight"]
 
@@ -106,11 +110,11 @@ class BackgroundRefresher:
     Parameters
     ----------
     store:
-        The shared :class:`ShardedCurveStore`.
+        The shared :class:`ShardedCurveStore`, read for priorities only.
     compute:
-        ``compute(key, now)`` producing the curve (the gateway wires this
-        to :meth:`DraftsService.curve`, so answers stay bit-identical to
-        the lazy service).
+        ``compute(key, now)`` producing the curve and storing it (the
+        gateway wires this to :meth:`DraftsService.curve`, so answers stay
+        bit-identical to the lazy service).
     metrics:
         Registry receiving ``serving.recomputes``, ``serving.coalesced``,
         ``serving.refresh_failures`` counters, the
@@ -198,15 +202,17 @@ class BackgroundRefresher:
 
     # -- recompute -----------------------------------------------------------
 
-    def refresh(self, key: CurveKey, now: float) -> tuple[CurveEntry, bool]:
+    def refresh(
+        self, key: CurveKey, now: float
+    ) -> tuple[BidDurationCurve | None, bool]:
         """Recompute ``key`` at ``now`` through the single-flight group.
 
-        Returns ``(entry, was_leader)``. The gateway uses this for inline
+        Returns ``(curve, was_leader)``. The gateway uses this for inline
         cold misses too, so a background refresh and a concurrent request
         miss coalesce onto one recompute.
         """
 
-        def _do() -> CurveEntry:
+        def _do() -> BidDurationCurve | None:
             started = self._clock.now()
             try:
                 curve = self._compute(key, now)
@@ -223,12 +229,12 @@ class BackgroundRefresher:
             )
             if self._on_result is not None:
                 self._on_result(key, None)
-            return self._store.put(key, curve, computed_at=now)
+            return curve
 
-        entry, leader = self.single_flight.execute(key, _do)
+        curve, leader = self.single_flight.execute(key, _do)
         if not leader:
             self._metrics.counter("serving.coalesced").inc()
-        return entry, leader
+        return curve, leader
 
     def run_pending(self, limit: int | None = None) -> int:
         """Synchronously drain pending refreshes in priority order.

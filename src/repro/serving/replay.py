@@ -39,6 +39,7 @@ from urllib.parse import urlsplit
 
 import numpy as np
 
+from repro.service.store import CurveKey
 from repro.serving.clock import Clock, SystemClock
 from repro.serving.loadgen import (
     DiurnalEnvelope,
@@ -46,7 +47,6 @@ from repro.serving.loadgen import (
     LoadGenerator,
 )
 from repro.serving.metrics import Histogram
-from repro.serving.store import CurveKey
 
 __all__ = [
     "HEDGE_HEADER",

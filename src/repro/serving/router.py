@@ -1143,8 +1143,8 @@ class ShardDeployment:
     ``snapshot_root/<shard_id>`` as its private snapshot directory. Each
     worker is built by :func:`~repro.serving.gateway.warm_gateway`, which
     restores that directory's checkpoint when it holds one and otherwise
-    batch-fits the worker's own partition and primes its store, so the
-    router comes up with every enrolled key answerable inline.
+    batch-fits the worker's own partition into its store, so the router
+    comes up with every enrolled key answerable inline.
     """
 
     def __init__(

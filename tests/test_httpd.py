@@ -326,7 +326,8 @@ class TestParity:
                 assert bids[0] == encode_body(gateway.get(bid(start_now)).body)
 
                 later = start_now + 2 * 900.0
-                entry, _ = gateway.refresher.refresh(key, later)
+                gateway.refresher.refresh(key, later)
+                entry = gateway.store.peek(key)
                 assert entry.curve is not curve
                 swapped = fetch(predictions(later))
                 assert len(encoded) == 4

@@ -102,3 +102,33 @@ def test_cheapest_of_unknown_names_is_404(
             response = tier.get(url)
             assert (response.status, response.body) == (404, {"error": error})
 
+
+
+#: ``/cheapest`` at a probability the service does not publish, naming an
+#: unknown region or instance type: (type, region). The level is checked
+#: first, so every tier answers 400, as ``/predictions`` and ``/bid`` do.
+UNPUBLISHED_SCANS = [
+    ("c3.2xlarge", "zz-none"),
+    ("zz0.none", "us-west-1"),
+]
+
+
+@pytest.mark.parametrize(
+    "instance_type, region",
+    UNPUBLISHED_SCANS,
+    ids=[c[1] for c in UNPUBLISHED_SCANS],
+)
+def test_cheapest_at_unpublished_level_is_400_before_names(
+    tiers, small_universe, instance_type, region
+):
+    rest, gateway, router, now = tiers
+    url = f"/cheapest/{instance_type}/{region}?probability=0.5&now={now}"
+    shard = ServingGateway(
+        DraftsService(PartitionedApi(EC2Api(small_universe), [(T, Z)])),
+        clock=ManualClock(),
+    )
+    error = "service does not publish probability 0.5; levels: (0.95, 0.99)"
+    assert router._route(url) == ("cheapest", instance_type, region)
+    for tier in (rest, gateway, shard):
+        response = tier.get(url)
+        assert (response.status, response.body) == (400, {"error": error})

@@ -12,9 +12,9 @@ from repro.cloud.api import EC2Api
 from repro.service.client import DraftsClient
 from repro.service.drafts_service import DraftsService, ServiceConfig
 from repro.service.rest import encode_body
+from repro.service.store import EntryState
 from repro.serving.clock import ManualClock
-from repro.serving.gateway import GatewayConfig, ServingGateway
-from repro.serving.store import EntryState
+from repro.serving.gateway import GatewayConfig, ServingGateway, warm_gateway
 
 
 def _wait_until(predicate, timeout=5.0):
@@ -236,6 +236,86 @@ class TestInlineProbe:
             f"/bid/c4.large/us-east-1b?probability=0.95&duration=1800&now={now}"
         )
         assert can_inline and curve is not None
+
+    @pytest.mark.parametrize(
+        "url, status",
+        [
+            # An unknown type in a known region: check_scan_names' 404.
+            ("/cheapest/zz0.none/us-west-1?probability=0.95&now={now}", 404),
+            # A level the service does not publish: check_probability's 400.
+            ("/predictions/c4.large/us-east-1b?probability=0.5&now={now}", 400),
+            (
+                "/bid/c4.large/us-east-1b?probability=0.5&duration=1800"
+                "&now={now}",
+                400,
+            ),
+            ("/cheapest/c4.large/us-east-1?probability=0.5&now={now}", 400),
+        ],
+    )
+    def test_rejected_cold_reads_are_inline(self, probe_env, url, status):
+        """A URL the handler's checks reject needs no fit: its answer is
+        in memory, so the probe keeps it on the event loop."""
+        gateway, now = probe_env
+        url = url.format(now=now)
+        assert gateway.probe_inline(url) == (True, None)
+        assert gateway.get(url).status == status
+
+    def test_unpublished_level_of_one_level_service_is_inline(
+        self, small_universe
+    ):
+        """``serve`` publishes one level (0.95); a 0.99 read is a 400."""
+        gateway = ServingGateway(
+            DraftsService(
+                EC2Api(small_universe), ServiceConfig(probabilities=(0.95,))
+            ),
+            clock=ManualClock(),
+        )
+        combo = small_universe.combo("c4.large", "us-east-1b")
+        now = small_universe.trace(combo).start + 45 * 86400.0
+        url = f"/predictions/c4.large/us-east-1b?probability=0.99&now={now}"
+        assert gateway.probe_inline(url) == (True, None)
+        assert gateway.get(url).status == 400
+
+
+class TestOneCurveCache:
+    """The gateway reads the service's store: one cache of curves."""
+
+    def test_gateway_store_is_the_service_store(self, small_universe):
+        service = DraftsService(EC2Api(small_universe))
+        gateway = ServingGateway(service, clock=ManualClock())
+        assert gateway.store is gateway.service.store is service.store
+
+    def test_invalidated_key_recomputes_on_next_read(self, small_universe):
+        api = _FlakyApi(EC2Api(small_universe))
+        gateway = ServingGateway(DraftsService(api), clock=ManualClock())
+        combo = small_universe.combo("c4.large", "us-east-1b")
+        now = small_universe.trace(combo).start + 45 * 86400.0
+        key = ("c4.large", "us-east-1b", 0.95)
+        url = "/predictions/c4.large/us-east-1b?probability=0.95&now={}"
+        assert gateway.get(url.format(now)).status == 200
+        assert gateway.store.invalidate(key)
+        refreshes = gateway.service.cache_info()["incremental_refreshes"]
+        calls = api.calls
+        later = now + 60.0
+        assert gateway.get(url.format(later)).status == 200
+        # A real recompute: one delta fetch, stamped at the read's instant.
+        assert api.calls == calls + 1
+        assert gateway.store.peek(key).computed_at == later
+        info = gateway.service.cache_info()
+        assert info["incremental_refreshes"] == refreshes + 1
+
+    def test_warm_gateway_issues_no_priming_reads(self, small_universe):
+        combos = [
+            ("c4.large", zone) for zone in ("us-east-1b", "us-east-1c")
+        ]
+        combo = small_universe.combo(*combos[0])
+        now = small_universe.trace(combo).start + 45 * 86400.0
+        gateway = warm_gateway(small_universe, combos, now, 0.95)
+        assert gateway.metrics.counter("gateway.requests").value == 0
+        assert gateway.metrics.counter("serving.recomputes").value == 0
+        for instance_type, zone in combos:
+            entry = gateway.store.peek((instance_type, zone, 0.95))
+            assert gateway.store.state_of(entry, now) is EntryState.FRESH
 
 
 class TestDifferential:

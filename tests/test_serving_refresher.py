@@ -4,10 +4,10 @@ import threading
 
 import pytest
 
+from repro.service.store import EntryState, ShardedCurveStore
 from repro.serving.clock import ManualClock
 from repro.serving.metrics import MetricsRegistry
 from repro.serving.refresher import BackgroundRefresher, SingleFlight
-from repro.serving.store import EntryState, ShardedCurveStore
 
 KEY = ("c4.large", "us-east-1b", 0.95)
 
@@ -98,14 +98,27 @@ class TestBackgroundRefresher:
     def _refresher(self, compute, **kwargs):
         store = ShardedCurveStore(refresh_seconds=900.0)
         metrics = MetricsRegistry()
+
+        def compute_and_store(key, now):
+            # The compute callback stores its result, as DraftsService.curve
+            # does for the gateway; the refresher itself never writes.
+            curve = compute(key, now)
+            store.put(key, curve, computed_at=now)
+            return curve
+
         refresher = BackgroundRefresher(
-            store, compute, metrics=metrics, clock=ManualClock(), **kwargs
+            store,
+            compute_and_store,
+            metrics=metrics,
+            clock=ManualClock(),
+            **kwargs,
         )
         return store, metrics, refresher
 
     def test_refresh_installs_versioned_entry(self):
         store, metrics, refresher = self._refresher(lambda key, now: None)
-        entry, leader = refresher.refresh(KEY, 1000.0)
+        _, leader = refresher.refresh(KEY, 1000.0)
+        entry = store.peek(KEY)
         assert leader
         assert entry.generation == 1
         assert entry.computed_at == 1000.0

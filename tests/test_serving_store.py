@@ -4,7 +4,7 @@ import threading
 
 import pytest
 
-from repro.serving.store import (
+from repro.service.store import (
     EntryState,
     ShardedCurveStore,
     _shard_index,
