@@ -50,6 +50,20 @@ else
         -q --benchmark-disable
 fi
 
+# Paper artefacts pinned: every figure and table at bench scale must match
+# experiments_bench_output.txt line for line, minus the "completed in"
+# timing lines (~2-3 min). A change that moves a pinned number regenerates
+# the file in the same commit and says why. Skipped with CHECK_SKIP_BENCH=1.
+artefacts_pinned() {
+    diff <(PYTHONPATH=src python -m repro experiments all --scale bench \
+               | grep -v "completed in") \
+         <(grep -v "completed in" experiments_bench_output.txt) \
+        && echo "bench-scale artefacts match experiments_bench_output.txt"
+}
+if [ "${CHECK_SKIP_BENCH:-0}" != "1" ]; then
+    step "paper artefacts pinned (bench scale)" artefacts_pinned
+fi
+
 # Universe-tick smoke: advance a 32-key universe through the vectorised
 # structure-of-arrays path in lockstep with per-key scalar predictors and
 # require bit-identical curves and bids at every checkpoint (~2 s). Exits

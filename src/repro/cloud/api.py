@@ -110,6 +110,12 @@ class EC2Api:
     def _physical_zone(self, zone: str) -> str:
         return self._views.to_physical(zone)
 
+    def check_offered(self, instance_type: str, zone: str) -> None:
+        """Raise the ``KeyError`` :meth:`describe_spot_price_history` raises
+        for a combination this account is not offered, without building
+        its trace."""
+        self._universe.combo(instance_type, self._physical_zone(zone))
+
     def spot_tier(self, instance_type: str, zone: str) -> SpotTier:
         """The Spot pool behind this account's name for ``zone``."""
         combo = self._universe.combo(instance_type, self._physical_zone(zone))

@@ -152,6 +152,11 @@ class DraftsService:
     Published curves live in :attr:`store`, the one curve cache, which
     every recompute, :meth:`warm_start` and :meth:`load_state` write and
     a :class:`~repro.serving.gateway.ServingGateway` reads too.
+
+    The service answers no route itself: :func:`repro.service.rest.respond`
+    builds every ``/predictions``, ``/bid`` and ``/cheapest`` answer from
+    :meth:`check_probability`, :meth:`scan_zones` and a curve read
+    (:meth:`curve`, or the gateway's store-first read).
     """
 
     def __init__(self, api: EC2Api, config: ServiceConfig | None = None):
@@ -357,7 +362,9 @@ class DraftsService:
         Served from :attr:`store` while fresh; recomputed (and stored at
         ``now``) once the stored curve is older than the refresh interval,
         exactly like the prototype's 15-minute cron. ``None`` means the
-        history is still too short to guarantee anything.
+        history is still too short to guarantee anything. Raises
+        ``ValueError`` for an unpublished level and ``KeyError`` for a
+        combination the account does not offer.
         """
         self.check_probability(probability)
         key = (instance_type, zone, probability)
@@ -369,6 +376,10 @@ class DraftsService:
             return entry.curve
         with self._lock:
             self._misses += 1
+        if entry is None:
+            # A combination the account does not offer is a 404 from
+            # memory: no history fetch, no ticker lock.
+            self._api.check_offered(instance_type, zone)
         return self._compute_curve(instance_type, zone, probability, now)
 
     # -- batch cold boot ----------------------------------------------------
@@ -634,24 +645,6 @@ class DraftsService:
                 "n": group.ticker.n(key),
             }
 
-    def bid_for_duration(
-        self,
-        instance_type: str,
-        zone: str,
-        probability: float,
-        duration_seconds: float,
-        now: float,
-    ) -> float:
-        """Smallest published bid guaranteeing ``duration_seconds``.
-
-        ``nan`` when no published rung can (clients fall back to
-        On-demand, §4.4).
-        """
-        curve = self.curve(instance_type, zone, probability, now)
-        if curve is None:
-            return float("nan")
-        return curve.bid_for_duration(duration_seconds)
-
     def check_probability(self, probability: float) -> None:
         """Raise ``ValueError`` unless the service publishes ``probability``:
         every curve read checks this first, so an unpublished level is a
@@ -663,13 +656,17 @@ class DraftsService:
                 f"levels: {levels}"
             )
 
-    def check_scan_names(self, instance_type: str, region: str) -> None:
-        """Raise ``KeyError`` unless the account knows ``region`` and
-        ``instance_type``.
+    def scan_zones(self, instance_type: str, region: str) -> tuple[str, ...]:
+        """The zones a ``/cheapest`` scan of ``instance_type`` in ``region``
+        visits, in scan order.
 
-        Every ``/cheapest`` scan makes this check before it visits a zone,
-        so a name the account does not know answers 404, as a
-        ``/predictions`` read of it does, not a retryable-looking 503.
+        Raises ``KeyError`` unless the account knows ``region`` and
+        ``instance_type``, so a name it does not know answers 404, as a
+        ``/predictions`` read of it does, not a retryable-looking 503. A
+        partition-restricted API (a shard worker's) narrows the scan to
+        the zones this process owns for the type through its
+        ``zones_for_cheapest`` hook; the plain account has none, and the
+        scan covers the whole region.
         """
         known = self._known_names
         if known is None:
@@ -681,33 +678,7 @@ class DraftsService:
             raise KeyError(f"unknown region {region!r}")
         if instance_type not in known[1]:
             raise KeyError(f"unknown instance type {instance_type!r}")
-
-    def cheapest_zone(
-        self,
-        instance_type: str,
-        region: str,
-        probability: float,
-        now: float,
-    ) -> tuple[str, float]:
-        """AZ with the lowest minimum bid and that bid (§4.2's fitness rule).
-
-        Raises ``ValueError`` for an unpublished level
-        (:meth:`check_probability`), ``KeyError`` for a region or type the
-        account does not know (:meth:`check_scan_names`) and
-        ``RuntimeError`` when no AZ has enough history yet.
-        """
-        self.check_probability(probability)
-        self.check_scan_names(instance_type, region)
-        best_zone, best_bid = "", math.inf
-        for zone in self._api.describe_availability_zones(region):
-            try:
-                curve = self.curve(instance_type, zone, probability, now)
-            except KeyError:
-                continue
-            if curve is not None and curve.minimum_bid < best_bid:
-                best_zone, best_bid = zone, curve.minimum_bid
-        if not best_zone:
-            raise RuntimeError(
-                f"no AZ in {region} can quote {instance_type} yet"
-            )
-        return best_zone, best_bid
+        zones_for = getattr(self._api, "zones_for_cheapest", None)
+        if zones_for is not None:
+            return zones_for(instance_type, region)
+        return self._api.describe_availability_zones(region)

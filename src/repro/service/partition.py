@@ -12,10 +12,11 @@ reads:
 
 * :meth:`describe_spot_price_history` — the fit path. Owned combos pass
   straight through; unowned combos raise ``KeyError``. Combos unknown to
-  the *account itself* raise the account's own ``KeyError`` first (via a
-  cheap ``spot_tier`` membership probe), so a shard's 404 body for a
+  the *account itself* raise the account's own ``KeyError`` first (via
+  ``check_offered``, which builds no trace), so a shard's 404 body for a
   garbage key is byte-identical to the single-process gateway's.
-* :meth:`zones_for_cheapest` — the gateway's ``/cheapest`` scan hook.
+* :meth:`zones_for_cheapest` — the ``/cheapest`` scan hook
+  (``DraftsService.scan_zones`` calls it).
   The plain region zone list would make the shard cold-fit (and fail)
   every zone it owns for *other* types; the hook narrows the scan to the
   zones owned for the queried type, preserving the account's zone order
@@ -38,7 +39,8 @@ _ZONE_SUFFIX = string.ascii_lowercase
 
 
 def region_of_zone(zone: str) -> str:
-    """The region a zone belongs to (same rule as the serving gateway)."""
+    """The region a zone belongs to (the serving gateway's On-demand
+    fallback prices by it too)."""
     return zone.rstrip(_ZONE_SUFFIX) or zone
 
 
@@ -107,7 +109,7 @@ class PartitionedApi:
             # Let a combo the account has never heard of raise the
             # account's native KeyError (parity with the single-process
             # gateway); a known-but-unowned combo is a misroute.
-            self._api.spot_tier(instance_type, zone)
+            self._api.check_offered(instance_type, zone)
             raise KeyError(
                 f"shard does not own {instance_type} in {zone}"
             )

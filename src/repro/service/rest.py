@@ -22,7 +22,13 @@ Routes:
 gateway (:mod:`repro.serving.gateway`) and the shard router
 (:mod:`repro.serving.router`) all resolve URLs through it, so a URL means
 the same route — and fails validation with the same message — on every
-tier.
+tier. A curve route may also name ``&deadline=``, the serving gateway's
+per-request wall budget; this router has none to enforce, but a malformed
+value is the same 400 here.
+
+:func:`respond` is the one handler set: this router and the serving
+gateway answer the three curve routes through it and differ only in how
+they read a curve.
 """
 
 from __future__ import annotations
@@ -35,12 +41,15 @@ from urllib.parse import parse_qs, urlsplit
 from repro.service.drafts_service import DraftsService
 
 __all__ = [
+    "CURVE_ROUTES",
     "Response",
     "RestRouter",
     "Route",
+    "Unavailable",
     "encode_body",
     "parse_floats",
     "parse_route",
+    "respond",
 ]
 
 
@@ -84,6 +93,9 @@ _ROUTE_FLOATS = {
     "cheapest": ("probability", "now"),
 }
 
+#: The kinds of route :func:`respond` answers.
+CURVE_ROUTES = frozenset(_ROUTE_FLOATS)
+
 #: Bound on memoised parses; the memo is cleared when it fills.
 _MAX_MEMO = 4096
 
@@ -95,19 +107,20 @@ class Route:
     ``kind`` is ``"health"``, ``"metrics"``, ``"predictions"``, ``"bid"``,
     ``"cheapest"``, or ``""`` when no route matches; ``path`` is what a
     404 names. A curve route also carries its type and zone (region for
-    ``cheapest``) segments, its query (shared by every caller of the
-    URL: read only) and its floats parsed once (``duration`` for ``bid``
-    only) — or, instead of the floats, the 400 ``error`` message.
+    ``cheapest``) segments and its floats parsed once (``duration`` for
+    ``bid`` only; ``deadline``, the optional per-request wall budget,
+    when the URL names one) — or, instead of the floats, the 400
+    ``error`` message.
     """
 
     kind: str
     path: str
     instance_type: str = ""
     location: str = ""
-    query: dict | None = None
     probability: float | None = None
     duration: float | None = None
     now: float | None = None
+    deadline: float | None = None
     error: str | None = None
 
 
@@ -152,19 +165,20 @@ def _resolve(url: str) -> Route:
     kind, instance_type, location = segments
     try:
         values = parse_floats(query, *names)
-    except ValueError as exc:
-        return Route(
-            kind, parts.path, instance_type, location, query, error=str(exc)
+        deadline = (
+            parse_floats(query, "deadline")[0] if "deadline" in query else None
         )
+    except ValueError as exc:
+        return Route(kind, parts.path, instance_type, location, error=str(exc))
     return Route(
         kind,
         parts.path,
         instance_type,
         location,
-        query,
         probability=values[0],
         duration=values[1] if kind == "bid" else None,
         now=values[-1],
+        deadline=deadline,
     )
 
 
@@ -181,60 +195,51 @@ class Response:
         return 200 <= self.status < 300
 
 
-class RestRouter:
-    """Routes URL strings to :class:`DraftsService` calls."""
+class Unavailable(Exception):
+    """A curve read that declines to answer for its key.
 
-    def __init__(self, service: DraftsService) -> None:
-        self._service = service
-        self._handlers = {
-            "predictions": self._predictions,
-            "bid": self._bid,
-            "cheapest": self._cheapest,
-        }
+    The shared ``/cheapest`` scan skips such a zone, as it skips one the
+    account does not offer; on ``/predictions`` and ``/bid`` it reaches
+    the caller of :func:`respond`, which owns that answer (the serving
+    gateway's open circuit).
+    """
 
-    def get(self, url: str) -> Response:
-        """Dispatch one GET request."""
-        route = parse_route(url)
-        if route.kind == "health":
-            return Response(200, {"status": "ok"})
-        handler = self._handlers.get(route.kind)
-        if handler is None:
-            return Response(404, {"error": f"no route for {route.path!r}"})
+
+def respond(route: Route, service: DraftsService, read) -> Response:
+    """The status and body of one curve route (``predictions``, ``bid``
+    or ``cheapest``).
+
+    ``read(instance_type, zone, probability, now)`` obtains a curve:
+    ``service.curve`` for :class:`RestRouter`, the stale-while-revalidate
+    store read for the serving gateway. Every body and error message of
+    the three routes is built here, and this is the one place errors map
+    to statuses: ``ValueError`` is 400 (a malformed query, or an
+    unpublished level, checked before any name), ``KeyError`` is 404 (a
+    name the account does not know, or a duration no published bid
+    guarantees) and ``RuntimeError`` is 503 (too little history, a failing
+    history API, no zone that can quote). :class:`Unavailable` from
+    ``read`` skips a ``cheapest`` zone and otherwise reaches the caller.
+    """
+    try:
         if route.error is not None:
-            return Response(400, {"error": route.error})
-        try:
-            return handler(route)
-        except KeyError as exc:
-            # str(KeyError) wraps the message in repr quotes; unwrap it.
-            return Response(404, {"error": exc.args[0] if exc.args else str(exc)})
-        except (ValueError, RuntimeError) as exc:
-            return Response(400, {"error": str(exc)})
-
-    def _predictions(self, route: Route) -> Response:
-        curve = self._service.curve(
+            raise ValueError(route.error)
+        service.check_probability(route.probability)
+        if route.kind == "cheapest":
+            return _cheapest(route, service, read)
+        curve = read(
             route.instance_type, route.location, route.probability, route.now
         )
         if curve is None:
-            return Response(
-                503, {"error": "insufficient history for a prediction"}
-            )
-        return Response(200, curve.to_dict())
-
-    def _bid(self, route: Route) -> Response:
-        bid = self._service.bid_for_duration(
-            route.instance_type,
-            route.location,
-            route.probability,
-            route.duration,
-            route.now,
-        )
+            raise RuntimeError("insufficient history for a prediction")
+        if route.kind == "predictions":
+            return Response(200, curve.to_dict())
+        bid = curve.bid_for_duration(route.duration)
         if math.isnan(bid):
-            return Response(
-                404,
-                {
-                    "error": "no published bid guarantees the requested "
-                    "duration; consider the On-demand tier"
-                },
+            # 404 is reserved for a real curve whose longest guaranteed
+            # duration falls short.
+            raise KeyError(
+                "no published bid guarantees the requested duration; "
+                "consider the On-demand tier"
             )
         return Response(
             200,
@@ -246,22 +251,56 @@ class RestRouter:
                 "bid": bid,
             },
         )
+    except KeyError as exc:
+        # str(KeyError) wraps the message in repr quotes; unwrap it.
+        return Response(404, {"error": exc.args[0] if exc.args else str(exc)})
+    except ValueError as exc:
+        return Response(400, {"error": str(exc)})
+    except RuntimeError as exc:
+        return Response(503, {"error": str(exc)})
 
-    def _cheapest(self, route: Route) -> Response:
+
+def _cheapest(route: Route, service: DraftsService, read) -> Response:
+    """§4.2's AZ-fitness rule: the scanned zone with the lowest minimum bid
+    (the first such zone on a tie)."""
+    instance_type, region = route.instance_type, route.location
+    best_zone, best_bid = "", math.inf
+    for zone in service.scan_zones(instance_type, region):
         try:
-            zone, bid = self._service.cheapest_zone(
-                route.instance_type, route.location, route.probability, route.now
-            )
-        except RuntimeError as exc:
-            # Data readiness, not a client error: no AZ has enough history
-            # yet — same condition `_predictions` reports as 503.
-            return Response(503, {"error": str(exc)})
-        return Response(
-            200,
-            {
-                "instance_type": route.instance_type,
-                "region": route.location,
-                "zone": zone,
-                "minimum_bid": bid,
-            },
-        )
+            curve = read(instance_type, zone, route.probability, route.now)
+        except (KeyError, Unavailable):
+            continue
+        if curve is not None and curve.minimum_bid < best_bid:
+            best_zone, best_bid = zone, curve.minimum_bid
+    if not best_zone:
+        raise RuntimeError(f"no AZ in {region} can quote {instance_type} yet")
+    return Response(
+        200,
+        {
+            "instance_type": instance_type,
+            "region": region,
+            "zone": best_zone,
+            "minimum_bid": best_bid,
+        },
+    )
+
+
+class RestRouter:
+    """Routes URL strings to :class:`DraftsService` reads.
+
+    The lazy endpoint: every curve is read through ``service.curve``,
+    which recomputes a stale key inline, and :func:`respond` builds the
+    answer, so each body, status and message is the serving gateway's.
+    """
+
+    def __init__(self, service: DraftsService) -> None:
+        self._service = service
+
+    def get(self, url: str) -> Response:
+        """Dispatch one GET request."""
+        route = parse_route(url)
+        if route.kind == "health":
+            return Response(200, {"status": "ok"})
+        if route.kind not in CURVE_ROUTES:
+            return Response(404, {"error": f"no route for {route.path!r}"})
+        return respond(route, self._service, self._service.curve)

@@ -11,7 +11,7 @@ refresher's single-flight group.
 Request lifecycle::
 
     GET ──▶ admission (inflight ≤ max_inflight, else 429 + Retry-After)
-         ──▶ route ──▶ store lookup
+         ──▶ route ──▶ rest.respond ──▶ store lookup
                          fresh  → serve            (hit)
                          stale  → serve + poke     (stale-hit; refresh is
                                                     off the request path)
@@ -20,6 +20,11 @@ Request lifecycle::
                                           (not offered → 404)
                                     no  → §4.4 On-demand fallback
          ──▶ deadline check (504 when the wall budget is exhausted)
+
+The body, status and message of every curve route come from
+:func:`repro.service.rest.respond`, the handler set the lazy
+:class:`~repro.service.rest.RestRouter` answers through too; the gateway
+supplies only its store-first curve read and the open-circuit answers.
 
 Every curve request is classified exactly once as hit / stale-hit / miss /
 shed / error, so the metrics snapshot satisfies
@@ -37,16 +42,24 @@ restore and a batch fit.
 
 from __future__ import annotations
 
-import math
 import threading
 import time
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 from repro.cloud.api import EC2Api
 from repro.service.drafts_service import DraftsService, ServiceConfig
+from repro.service.partition import region_of_zone
 from repro.service.persistence import MANIFEST_NAME
-from repro.service.rest import Response, Route, parse_floats, parse_route
+from repro.service.rest import (
+    CURVE_ROUTES,
+    Response,
+    Route,
+    Unavailable,
+    parse_route,
+    respond,
+)
 from repro.service.store import CurveKey, EntryState
 from repro.serving.clock import Clock, SystemClock
 from repro.serving.metrics import MetricsRegistry
@@ -173,7 +186,7 @@ class _CircuitBreaker:
                 self._metrics.counter("gateway.breaker_trips").inc()
 
 
-class _BreakerOpen(Exception):
+class _BreakerOpen(Unavailable):
     """Internal: a cold miss hit an open circuit — use the §4.4 fallback."""
 
 
@@ -210,8 +223,13 @@ class ServingGateway:
 
     Curves come from ``service`` and are read from its store
     (``self.store is service.store``), so fresh answers are bit-identical
-    to the lazy :class:`DraftsService`; the serving layer adds admission,
-    coalescing and stale-while-revalidate refresh around that one cache.
+    to the lazy :class:`DraftsService`. Every curve route is answered by
+    :func:`~repro.service.rest.respond`, as for
+    :class:`~repro.service.rest.RestRouter`; the gateway only supplies its
+    own curve read (:meth:`_serve_curve`: stale-while-revalidate, coalesced
+    cold misses, the circuit breaker) and keeps what is its own around it:
+    admission, the deadline, the outcome classification and the
+    open-circuit answers.
     """
 
     def __init__(
@@ -250,11 +268,6 @@ class ServingGateway:
         )
         self._inflight = 0
         self._inflight_lock = threading.Lock()
-        self._handlers = {
-            "predictions": self._predictions,
-            "bid": self._bid,
-            "cheapest": self._cheapest,
-        }
         # Pre-register the instrument set so /metrics always exposes the
         # full contract (a counter that never fired still reads 0).
         for name in (
@@ -375,7 +388,7 @@ class ServingGateway:
     def get(self, url: str) -> Response:
         """Dispatch one GET request."""
         route = parse_route(url)
-        if route.kind in self._handlers:
+        if route.kind in CURVE_ROUTES:
             return self._admitted(route)
         self.metrics.counter("gateway.other").inc()
         if route.kind == "health":
@@ -392,10 +405,11 @@ class ServingGateway:
 
         Every route is an in-memory read except a curve read that would
         fit a cold key inline: a ``predictions``/``bid`` key, or any zone
-        a ``cheapest`` scan visits, with no store entry yet and a URL the
-        handler's checks accept (a rejected one is a 400 or 404 from
-        memory). A stored entry, fresh or stale, is served without
-        blocking (a stale one only enqueues its refresh). An event-loop
+        a ``cheapest`` scan visits, that the account offers but the store
+        holds no entry for, in a URL whose checks pass (a rejected URL, or
+        a key the account does not offer, is a 400 or 404 from memory). A
+        stored entry, fresh or stale, is served without blocking (a stale
+        one only enqueues its refresh). An event-loop
         front end uses this probe to dispatch warm reads on the loop
         itself and push potentially blocking requests to its executor. The
         probe is side-effect free: it reads through
@@ -418,34 +432,40 @@ class ServingGateway:
         exactly as long as the store still holds the same object.
         """
         route = parse_route(url)
-        if route.kind not in self._handlers or route.error is not None:
+        if route.kind not in CURVE_ROUTES or route.error is not None:
             # health/metrics/404, or a malformed query's 400: from memory.
             return True, None
-        if route.kind == "cheapest":
-            for zone in self._scan_zones(route.instance_type, route.location):
-                key = (route.instance_type, zone, route.probability)
-                if self.store.peek(key) is None:
-                    return self._rejects(route), None
+        instance_type, probability = route.instance_type, route.probability
+        try:
+            # The checks respond() makes before any read: a URL they reject
+            # is a 400 or 404 from memory.
+            self._service.check_probability(probability)
+            if route.kind == "cheapest":
+                zones = self._service.scan_zones(instance_type, route.location)
+                cold = any(
+                    self._cold((instance_type, zone, probability))
+                    for zone in zones
+                )
+                return not cold, None
+        except (KeyError, ValueError):
             return True, None
-        entry = self.store.peek(
-            (route.instance_type, route.location, route.probability)
-        )
+        key = (instance_type, route.location, probability)
+        entry = self.store.peek(key)
         if entry is None:
-            return self._rejects(route), None
+            return not self._cold(key), None
         return True, entry.curve
 
-    def _rejects(self, route: Route) -> bool:
-        """Whether the checks a handler runs before any fit reject
-        ``route`` (its 400 or 404 is then answered from memory)."""
+    def _cold(self, key: CurveKey) -> bool:
+        """Whether a read of ``key`` would fit it inline: the store holds
+        no entry for it and the account offers it (a read of a key it
+        does not offer is a 404 from memory)."""
+        if self.store.peek(key) is not None:
+            return False
         try:
-            self._service.check_probability(route.probability)
-            if route.kind == "cheapest":
-                self._service.check_scan_names(
-                    route.instance_type, route.location
-                )
-        except (KeyError, ValueError):
-            return True
-        return False
+            self._service.api.check_offered(key[0], key[1])
+        except KeyError:
+            return False
+        return True
 
     def _admitted(self, route: Route) -> Response:
         self.metrics.counter("gateway.requests").inc()
@@ -469,28 +489,19 @@ class ServingGateway:
                 self.metrics.gauge("gateway.inflight").set(self._inflight)
 
     def _handle(self, route: Route) -> Response:
-        deadline = self._cfg.deadline_seconds
-        if "deadline" in route.query:
-            (deadline,) = parse_floats(route.query, "deadline")
+        deadline = route.deadline
+        if deadline is None:
+            deadline = self._cfg.deadline_seconds
         request = _RequestState(self._clock.now(), deadline)
         timed_out = False
-        response = Response(500, {"error": "unreachable"})
         try:
-            if route.error is not None:
-                response = Response(400, {"error": route.error})
-            else:
-                response = self._handlers[route.kind](route, request)
+            response = respond(
+                route, self._service, partial(self._serve_curve, request)
+            )
+        except _BreakerOpen:
+            response = self._circuit_open(route)
         except _DeadlineExceeded:
             timed_out = True
-        except KeyError as exc:
-            # str(KeyError) wraps the message in repr quotes; unwrap it.
-            response = Response(
-                404, {"error": exc.args[0] if exc.args else str(exc)}
-            )
-        except RuntimeError as exc:
-            response = Response(503, {"error": str(exc)})
-        except ValueError as exc:
-            response = Response(400, {"error": str(exc)})
         elapsed = self._clock.now() - request.started
         self.metrics.histogram("gateway.request_seconds").observe(elapsed)
         if request.deadline is not None and elapsed > request.deadline:
@@ -535,8 +546,17 @@ class ServingGateway:
         instance_type, zone, probability = key
         return self._service.curve(instance_type, zone, probability, now)
 
-    def _serve_curve(self, key: CurveKey, now: float, request: _RequestState):
-        """Store-first read implementing stale-while-revalidate."""
+    def _serve_curve(
+        self,
+        request: _RequestState,
+        instance_type: str,
+        zone: str,
+        probability: float,
+        now: float,
+    ):
+        """Store-first read implementing stale-while-revalidate (the
+        gateway's ``read`` for :func:`~repro.service.rest.respond`)."""
+        key = (instance_type, zone, probability)
         entry, state = self.store.lookup(key, now)
         request.observe(state)
         if state is EntryState.FRESH:
@@ -558,18 +578,16 @@ class ServingGateway:
         curve, _ = self.refresher.refresh(key, now)
         return curve
 
-    # -- handlers ----------------------------------------------------------------
+    # -- open circuit ------------------------------------------------------------
 
-    def _predictions(self, route: Route, request: _RequestState) -> Response:
-        probability = route.probability
-        self._service.check_probability(probability)
-        try:
-            curve = self._serve_curve(
-                (route.instance_type, route.location, probability),
-                route.now,
-                request,
-            )
-        except _BreakerOpen:
+    def _circuit_open(self, route: Route) -> Response:
+        """The answer to a ``predictions`` or ``bid`` read whose key's
+        circuit is open (a ``cheapest`` scan skips such a zone).
+
+        A bid gets §4.4's client rule, applied server-side: the On-demand
+        price, which guarantees any duration.
+        """
+        if route.kind != "bid":
             return Response(
                 503,
                 {
@@ -579,109 +597,20 @@ class ServingGateway:
                     "retry_after": self._cfg.breaker_cooldown_seconds,
                 },
             )
-        if curve is None:
-            return Response(
-                503, {"error": "insufficient history for a prediction"}
-            )
-        return Response(200, curve.to_dict())
-
-    def _bid(self, route: Route, request: _RequestState) -> Response:
-        instance_type, zone = route.instance_type, route.location
-        probability, duration = route.probability, route.duration
-        self._service.check_probability(probability)
-        try:
-            curve = self._serve_curve(
-                (instance_type, zone, probability), route.now, request
-            )
-        except _BreakerOpen:
-            return self._ondemand_fallback(instance_type, zone, probability, duration)
-        if curve is None:
-            # Same condition, same status as /predictions: the history is
-            # too short for any curve. 404 below is reserved for a real
-            # curve whose longest guaranteed duration falls short.
-            return Response(
-                503, {"error": "insufficient history for a prediction"}
-            )
-        bid = curve.bid_for_duration(duration)
-        if math.isnan(bid):
-            return Response(
-                404,
-                {
-                    "error": "no published bid guarantees the requested "
-                    "duration; consider the On-demand tier"
-                },
-            )
-        return Response(
-            200,
-            {
-                "instance_type": instance_type,
-                "zone": zone,
-                "probability": probability,
-                "duration": duration,
-                "bid": bid,
-            },
+        price = self._service.api.ondemand_price(
+            route.instance_type, region_of_zone(route.location)
         )
-
-    def _ondemand_fallback(
-        self, instance_type: str, zone: str, probability: float, duration: float
-    ) -> Response:
-        """§4.4's client rule, applied server-side when the circuit is open:
-        quote the On-demand price, which guarantees any duration."""
-        region = zone.rstrip("abcdefghijklmnopqrstuvwxyz") or zone
-        price = self._service.api.ondemand_price(instance_type, region)
         self.metrics.counter("gateway.fallbacks").inc()
         return Response(
             200,
             {
-                "instance_type": instance_type,
-                "zone": zone,
-                "probability": probability,
-                "duration": duration,
+                "instance_type": route.instance_type,
+                "zone": route.location,
+                "probability": route.probability,
+                "duration": route.duration,
                 "bid": price,
                 "tier": "ondemand",
                 "fallback": True,
-            },
-        )
-
-    def _scan_zones(self, instance_type: str, region: str):
-        """The zones a ``cheapest`` scan visits, in scan order.
-
-        A partition-restricted API (shard worker) narrows the scan to the
-        zones this process owns *for this type*; the plain EC2 API has no
-        such hook and the scan covers the whole region.
-        """
-        api = self._service.api
-        zones_for = getattr(api, "zones_for_cheapest", None)
-        if zones_for is not None:
-            return zones_for(instance_type, region)
-        return api.describe_availability_zones(region)
-
-    def _cheapest(self, route: Route, request: _RequestState) -> Response:
-        instance_type, region = route.instance_type, route.location
-        probability, now = route.probability, route.now
-        self._service.check_probability(probability)
-        self._service.check_scan_names(instance_type, region)
-        best_zone, best_bid = "", math.inf
-        for zone in self._scan_zones(instance_type, region):
-            try:
-                curve = self._serve_curve(
-                    (instance_type, zone, probability), now, request
-                )
-            except (KeyError, _BreakerOpen):
-                continue
-            if curve is not None and curve.minimum_bid < best_bid:
-                best_zone, best_bid = zone, curve.minimum_bid
-        if not best_zone:
-            raise RuntimeError(
-                f"no AZ in {region} can quote {instance_type} yet"
-            )
-        return Response(
-            200,
-            {
-                "instance_type": instance_type,
-                "region": region,
-                "zone": best_zone,
-                "minimum_bid": best_bid,
             },
         )
 

@@ -18,9 +18,10 @@ the key is refreshed off the request path. Two cooperating pieces do it:
     synchronously via :meth:`BackgroundRefresher.run_pending` for
     deterministic tests.
 
-The refresher only reads the store, to rank pending keys; its
-``compute`` callback writes it (the gateway's is
-:meth:`DraftsService.curve`, which stores every recompute).
+The refresher only reads the store, to rank pending keys and to skip a
+key some other reader already refreshed; its ``compute`` callback writes
+it (the gateway's is :meth:`DraftsService.curve`, which stores every
+recompute).
 
 A combination the account does not offer (or, on a shard worker, one the
 shard does not own) raises ``KeyError`` from the recompute. That is the
@@ -34,7 +35,7 @@ import threading
 from typing import Callable
 
 from repro.core.curves import BidDurationCurve
-from repro.service.store import CurveKey, ShardedCurveStore
+from repro.service.store import CurveKey, EntryState, ShardedCurveStore
 from repro.serving.metrics import MetricsRegistry
 
 __all__ = ["BackgroundRefresher", "SingleFlight"]
@@ -209,10 +210,16 @@ class BackgroundRefresher:
 
         Returns ``(curve, was_leader)``. The gateway uses this for inline
         cold misses too, so a background refresh and a concurrent request
-        miss coalesce onto one recompute.
+        miss coalesce onto one recompute. A leader that finds the store
+        already fresh at ``now`` (another reader refreshed the key since it
+        was queued) returns that curve: nothing is computed, counted in
+        ``serving.recomputes``, timed or reported to ``on_result``.
         """
 
         def _do() -> BidDurationCurve | None:
+            entry = self._store.peek(key)
+            if self._store.state_of(entry, now) is EntryState.FRESH:
+                return entry.curve
             started = self._clock.now()
             try:
                 curve = self._compute(key, now)

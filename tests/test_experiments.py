@@ -74,7 +74,11 @@ class TestDrivers:
         result = run_table2(scale="test")
         # The headline: DrAFTS cuts the worst-case (risked) cost.
         assert result.drafts.max_bid_cost < result.original.max_bid_cost
-        assert "Table 2" in result.render()
+        text = result.render()
+        assert "Table 2" in text
+        # The rendered rows are pinned (cost, maximum bid cost).
+        assert "Original (80% On-demand)  $16.54  $55.77" in text
+        assert "DrAFTS Bid                $12.79  $16.52" in text
 
     def test_tightness_in_paper_band(self):
         result = run_tightness(scale="test")

@@ -1,6 +1,8 @@
 """One route table: ``RestRouter``, ``ServingGateway`` and ``RouterServer``
 resolve every URL to the same route, because all three read it from
-:func:`repro.service.rest.parse_route`."""
+:func:`repro.service.rest.parse_route`; and one handler set: ``RestRouter``
+and every gateway answer a curve route with the same status and body,
+because both build it in :func:`repro.service.rest.respond`."""
 
 from __future__ import annotations
 
@@ -25,6 +27,9 @@ CASES = [
      "predictions", 400),
     # Blank values count as missing; a blank name is ignored.
     ("/predictions/{t}/{z}?probability=&now={now}", "predictions", 400),
+    # A malformed optional deadline is the same 400 on every tier.
+    ("/predictions/{t}/{z}?probability=0.95&now={now}&deadline=abc",
+     "predictions", 400),
     ("/bid/{t}/{z}?=1&probability=0.95&duration=3600&now={now}", "bid", 200),
     # Empty path segments (doubled and trailing slashes) are ignored.
     ("/predictions//{t}//{z}?probability=0.95&now={now}", "predictions", 200),
@@ -132,3 +137,57 @@ def test_cheapest_at_unpublished_level_is_400_before_names(
     for tier in (rest, gateway, shard):
         response = tier.get(url)
         assert (response.status, response.body) == (400, {"error": error})
+
+
+class _DownApi:
+    """A history API that is down: every history read raises."""
+
+    def __init__(self, api):
+        self._api = api
+
+    def __getattr__(self, name):
+        return getattr(self._api, name)
+
+    def describe_spot_price_history(self, *args, **kwargs):
+        raise RuntimeError("history API down")
+
+
+#: (URL template, API wrapper, status, error): one answer on every tier.
+UNAVAILABLE = [
+    # Too little history for any curve: /bid answers as /predictions does.
+    ("/bid/{t}/{z}?probability=0.95&duration=1800&now={early}", None, 503,
+     "insufficient history for a prediction"),
+    # A failing history API is a retryable 503, not a client error.
+    ("/predictions/{t}/{z}?probability=0.95&now={now}", _DownApi, 503,
+     "history API down"),
+    ("/bid/{t}/{z}?probability=0.95&duration=1800&now={now}", _DownApi, 503,
+     "history API down"),
+    ("/cheapest/{t}/{r}?probability=0.95&now={now}", _DownApi, 503,
+     "history API down"),
+]
+
+
+@pytest.mark.parametrize(
+    "template, wrap, status, error",
+    UNAVAILABLE,
+    ids=[f"{c[0].split('?')[0]}-{c[3]}" for c in UNAVAILABLE],
+)
+def test_every_tier_answers_the_same(small_universe, template, wrap, status, error):
+    api = EC2Api(small_universe)
+    if wrap is not None:
+        api = wrap(api)
+    start = small_universe.trace(small_universe.combo(T, Z)).start
+    url = template.format(
+        t=T, z=Z, r=R, now=start + 45 * 86400.0, early=start + 3600.0
+    )
+    tiers = (
+        RestRouter(DraftsService(api)),
+        ServingGateway(DraftsService(api), clock=ManualClock()),
+        # A shard worker owning the combination.
+        ServingGateway(
+            DraftsService(PartitionedApi(api, [(T, Z)])), clock=ManualClock()
+        ),
+    )
+    for tier in tiers:
+        response = tier.get(url)
+        assert (response.status, response.body) == (status, {"error": error})

@@ -9,6 +9,7 @@ from repro.cloud.api import HISTORY_WINDOW_SECONDS, EC2Api
 from repro.core.drafts import DraftsConfig, DraftsPredictor
 from repro.market.traces import PriceTrace
 from repro.service.drafts_service import DraftsService, ServiceConfig
+from repro.service.rest import RestRouter
 
 DAY = 86400.0
 
@@ -32,6 +33,9 @@ class _ScriptedApi:
 
     def __init__(self, trace: PriceTrace) -> None:
         self._trace = trace
+
+    def check_offered(self, instance_type, zone):
+        """Every name is offered: the one trace answers any key."""
 
     def describe_spot_price_history(self, instance_type, zone, now, since=None):
         window = self._trace.window_before(now, HISTORY_WINDOW_SECONDS)
@@ -120,20 +124,26 @@ class TestCurves:
 
 
 class TestQueries:
+    """Point queries, through the REST answers built over the service."""
+
     def test_bid_for_duration(self, service_env):
         service, now = service_env
-        bid = service.bid_for_duration(
-            "c4.large", "us-east-1b", 0.95, 1800.0, now
-        )
-        assert not math.isnan(bid)
-        huge = service.bid_for_duration(
-            "c4.large", "us-east-1b", 0.95, 500 * 3600.0, now
-        )
-        assert math.isnan(huge)
+        router = RestRouter(service)
+        url = "/bid/c4.large/us-east-1b?probability=0.95&duration={}&now={}"
+        bid = router.get(url.format(1800.0, now))
+        assert bid.status == 200
+        assert not math.isnan(bid.body["bid"])
+        # No published rung guarantees the duration: nan, answered as 404.
+        huge = router.get(url.format(500 * 3600.0, now))
+        assert huge.status == 404
 
     def test_cheapest_zone(self, service_env):
         service, now = service_env
-        zone, bid = service.cheapest_zone("c4.large", "us-east-1", 0.95, now)
+        response = RestRouter(service).get(
+            f"/cheapest/c4.large/us-east-1?probability=0.95&now={now}"
+        )
+        assert response.status == 200
+        zone, bid = response.body["zone"], response.body["minimum_bid"]
         assert zone.startswith("us-east-1")
         assert bid > 0
         # It really is the cheapest among the region's curves.
@@ -146,8 +156,11 @@ class TestQueries:
         service, now = service_env
         # cg1.4xlarge exists only in two us-east-1 AZs; the query must
         # succeed using just those.
-        zone, _ = service.cheapest_zone("cg1.4xlarge", "us-east-1", 0.95, now)
-        assert zone in ("us-east-1b", "us-east-1c")
+        response = RestRouter(service).get(
+            f"/cheapest/cg1.4xlarge/us-east-1?probability=0.95&now={now}"
+        )
+        assert response.status == 200
+        assert response.body["zone"] in ("us-east-1b", "us-east-1c")
 
 
 class TestRefreshEdges:

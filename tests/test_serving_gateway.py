@@ -11,7 +11,7 @@ import pytest
 from repro.cloud.api import EC2Api
 from repro.service.client import DraftsClient
 from repro.service.drafts_service import DraftsService, ServiceConfig
-from repro.service.rest import encode_body
+from repro.service.rest import RestRouter, encode_body
 from repro.service.store import EntryState
 from repro.serving.clock import ManualClock
 from repro.serving.gateway import GatewayConfig, ServingGateway, warm_gateway
@@ -180,6 +180,18 @@ class TestInlineProbe:
         assert gateway.probe_inline(stale_url) == (True, None)
         assert gateway.get(url) == offloaded
 
+    def test_cheapest_skips_zones_the_type_is_not_offered_in(self, probe_env):
+        """cg1.4xlarge is offered in two of us-east-1's zones; the scan's
+        reads of the others are 404s from memory, so a scan whose offered
+        zones are warm is inline."""
+        gateway, now = probe_env
+        url = f"/cheapest/cg1.4xlarge/us-east-1?probability=0.95&now={now}"
+        assert gateway.probe_inline(url) == (False, None)
+        offloaded = gateway.get(url)  # fits the two offered zones
+        assert offloaded.status == 200
+        assert gateway.probe_inline(url) == (True, None)
+        assert gateway.get(url) == offloaded
+
     def test_cheapest_with_one_cold_zone_offloads_without_side_effects(
         self, probe_env
     ):
@@ -240,8 +252,21 @@ class TestInlineProbe:
     @pytest.mark.parametrize(
         "url, status",
         [
-            # An unknown type in a known region: check_scan_names' 404.
+            # An unknown type in a known region: scan_zones' 404.
             ("/cheapest/zz0.none/us-west-1?probability=0.95&now={now}", 404),
+            # A combination the account does not offer: check_offered's 404.
+            ("/predictions/zz0.none/us-east-1b?probability=0.95&now={now}", 404),
+            ("/predictions/c4.large/zz-none1a?probability=0.95&now={now}", 404),
+            (
+                "/bid/zz0.none/us-east-1b?probability=0.95&duration=1800"
+                "&now={now}",
+                404,
+            ),
+            (
+                "/predictions/cg1.4xlarge/us-west-2a?probability=0.95"
+                "&now={now}",
+                404,
+            ),
             # A level the service does not publish: check_probability's 400.
             ("/predictions/c4.large/us-east-1b?probability=0.5&now={now}", 400),
             (
@@ -389,6 +414,26 @@ class TestStaleWhileRevalidate:
         assert entry.computed_at == now + 3600.0
         assert gateway.store.state_of(entry, now + 3600.0) is EntryState.FRESH
 
+    def test_refresh_of_a_key_already_fresh_is_no_recompute(
+        self, small_universe
+    ):
+        """A queued refresh whose key another reader refreshed meanwhile
+        computes nothing, so ``serving.recomputes`` counts only real
+        recomputes."""
+        service = DraftsService(EC2Api(small_universe))
+        gateway = ServingGateway(service, clock=ManualClock())
+        combo = small_universe.combo("c4.large", "us-east-1b")
+        now = small_universe.trace(combo).start + 45 * 86400.0
+        url = "/predictions/c4.large/us-east-1b?probability=0.95&now={}"
+        assert gateway.get(url.format(now)).status == 200  # cold: computes
+        assert gateway.get(url.format(now + 3600.0)).status == 200  # pokes
+        # A lazy reader over the same service refreshes the key first.
+        assert RestRouter(service).get(url.format(now + 3600.0)).status == 200
+        recomputes = gateway.metrics.counter("serving.recomputes").value
+        service_recomputes = service.cache_info()["recomputes"]
+        assert gateway.refresher.run_pending() == 1
+        assert gateway.metrics.counter("serving.recomputes").value == recomputes
+        assert service.cache_info()["recomputes"] == service_recomputes
 
     def test_snapshot_exposes_service_refresh_split(self, small_universe):
         gateway = ServingGateway(
@@ -965,6 +1010,33 @@ class TestAccounting:
         assert counters["gateway.deadline_exceeded"] == 1
         assert counters["gateway.breaker_trips"] == 1
         assert counters["gateway.breaker_short_circuits"] == 1
+        assert (
+            counters["gateway.hits"]
+            + counters["gateway.stale_hits"]
+            + counters["gateway.misses"]
+            + counters["gateway.shed"]
+            + counters["gateway.errors"]
+            == counters["gateway.requests"]
+        )
+
+    def test_malformed_deadline_is_a_400_counted_as_an_error(
+        self, small_universe
+    ):
+        gateway = ServingGateway(
+            DraftsService(EC2Api(small_universe)), clock=ManualClock()
+        )
+        combo = small_universe.combo("c4.large", "us-east-1b")
+        now = small_universe.trace(combo).start + 45 * 86400.0
+        warm = f"/predictions/c4.large/us-east-1b?probability=0.95&now={now}"
+        cold = f"/predictions/c4.large/us-east-1c?probability=0.95&now={now}"
+        assert gateway.get(warm).status == 200
+        for url in (warm, cold):
+            response = gateway.get(url + "&deadline=abc")
+            assert response.status == 400
+            assert "deadline" in response.body["error"]
+        counters = gateway.metrics.snapshot()["counters"]
+        assert counters["gateway.requests"] == 3
+        assert counters["gateway.errors"] == 2
         assert (
             counters["gateway.hits"]
             + counters["gateway.stale_hits"]
